@@ -64,8 +64,8 @@ query = [Clause([4]), Clause([-1, 5])]
 log_p = fdc_count(conjoin_query(m, query)).log_z - result.log_z
 print(f"P(4 and (-1 or 5)) = {math.exp(log_p):.6f}")
 
-# Per-variable marginals come from the same counting machinery, one
-# conditioned count per variable.
+# Per-variable marginals come from one run of the same search, which carries
+# every variable's marginal back up beside log Z.
 marginals = exact_marginals(m)
 for v, p in enumerate(marginals, start=1):
     print(f"  P(x{v} = true) = {p:.6f}")

@@ -203,7 +203,8 @@ def brute_force_marginals(m: PropMRF) -> np.ndarray:
         log_w = np.zeros(codes.shape)
         for sc in m.soft:
             log_w += np.where(_clause_sat_mask(codes, sc.clause), sc.weight, 0.0)
-        prob = np.where(valid, np.exp(log_w - log_z), 0.0)
+        log_w[~valid] = -math.inf
+        prob = np.exp(log_w - log_z)
         for v in range(1, m.num_vars + 1):
             bit = (codes >> np.uint64(v - 1)) & np.uint64(1)
             marginals[v - 1] += float(np.sum(prob[bit == 1]))

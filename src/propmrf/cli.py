@@ -11,6 +11,10 @@ limit, 6 degenerate computation (zero partition function, unsatisfiable hard
 clauses, all-zero sample weights, collapsed beliefs), 7 unexpected internal
 error.
 
+Linear-scale result fields (z, z_hat, std_error, sample_variance) are null
+when they lie beyond float range; the log-space fields beside them are
+authoritative.
+
 Environment: PROPMRF_SEED and PROPMRF_JOBS provide defaults for --seed and
 --jobs.
 """
@@ -38,8 +42,9 @@ from .fdc import (
     FORMULA,
     VARIABLE,
     InstanceTooLargeError,
-    exact_marginals,
+    SearchStats,
     fdc_count,
+    fdc_marginals,
 )
 from .fis import (
     AllZeroWeightsError,
@@ -116,6 +121,27 @@ def _emit(report: dict, output: str | None) -> None:
             handle.write(text)
 
 
+def _linear(value: float) -> float | None:
+    """A linear-scale report field: null (None) when beyond float range."""
+    return None if math.isinf(value) else value
+
+
+def _exp_or_null(log_value: float) -> float | None:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return None
+
+
+def _stats_block(stats: SearchStats) -> dict:
+    return {
+        "nodes": stats.nodes,
+        "leaves": stats.leaves,
+        "cache_hits": stats.cache_hits,
+        "cache_entries": stats.cache_entries,
+    }
+
+
 def _count_log_z(m: PropMRF, method: str, use_cache: bool, ve_width: int):
     """Returns (log_z, stats dict or None)."""
     if method in ("fdc", "vdc"):
@@ -123,13 +149,7 @@ def _count_log_z(m: PropMRF, method: str, use_cache: bool, ve_width: int):
         result = fdc_count(
             m, mode=mode, use_cache=use_cache, ve_width_threshold=ve_width
         )
-        stats = {
-            "nodes": result.stats.nodes,
-            "leaves": result.stats.leaves,
-            "cache_hits": result.stats.cache_hits,
-            "cache_entries": result.stats.cache_entries,
-        }
-        return result.log_z, stats
+        return result.log_z, _stats_block(result.stats)
     if method == "ve":
         return ve_count(m, max_width=ve_width), None
     if method == "brute":
@@ -205,7 +225,7 @@ def _cmd_count(args: argparse.Namespace) -> dict:
         "method": args.method,
         "cache": args.cache == "on",
         "ve_width": args.ve_width,
-        "result": {"log_z": log_z, "z": math.exp(log_z)},
+        "result": {"log_z": log_z, "z": _exp_or_null(log_z)},
         "stats": stats,
     }
 
@@ -246,8 +266,14 @@ def _cmd_marginals(args: argparse.Namespace) -> dict:
         "method": args.method,
     }
     if args.method == "exact":
-        values = exact_marginals(m, ve_width_threshold=args.ve_width)
+        result = fdc_marginals(m, ve_width_threshold=args.ve_width)
+        if result.marginals is None:
+            raise _CliError(
+                EXIT_DEGENERATE, "the model's partition function is zero"
+            )
+        values = np.clip(result.marginals, 0.0, 1.0)
         report["ve_width"] = args.ve_width
+        report["diagnostics"] = _stats_block(result.stats)
     else:
         seed = _resolve_seed(args.seed)
         jobs = _resolve_jobs(args.jobs)
@@ -297,9 +323,9 @@ def _cmd_sample(args: argparse.Namespace) -> dict:
         "bp": {"max_iters": args.bp_iters, "damping": args.bp_damping},
         "result": {
             "log_z_hat": estimate.log_z_hat,
-            "z_hat": estimate.z_hat,
-            "std_error": estimate.std_error,
-            "sample_variance": estimate.sample_variance,
+            "z_hat": _linear(estimate.z_hat),
+            "std_error": _linear(estimate.std_error),
+            "sample_variance": _linear(estimate.sample_variance),
         },
     }
 

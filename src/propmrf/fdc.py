@@ -1,4 +1,5 @@
-"""Exact partition functions by recursive decomposition and clause conditioning.
+"""Exact partition functions and marginals by recursive decomposition and
+clause conditioning.
 
 Each recursive call simplifies its model, splits it into independent
 components along the primal graph, and otherwise conditions on a branching
@@ -17,6 +18,18 @@ accumulate their own counts without adding a node.
 
 Component results are cached under a canonical renaming, so structurally
 identical submodels met on different branches are solved once.
+
+fdc_marginals runs the same search and returns P(v = true) for every
+variable along with log Z.  Each call returns its model's marginals next to
+its log Z on the way back up, which reads the search trace as a
+decision-DNNF circuit and differentiates it (Darwiche, JACM 2003):
+simplification maps a reduced model's marginals back (forced variables are
+certain, swept ones fair coins), decomposition concatenates its components'
+marginals, conditioning mixes its branches' marginals by their shares
+exp(log Z_branch - log Z), single-clause leaves have a closed form, and
+bucket-elimination leaves run the bucket tree's downward pass.  Cache
+entries hold marginals in canonical-variable order.  fdc_count does none of
+this work.
 """
 
 from __future__ import annotations
@@ -30,8 +43,8 @@ import numpy as np
 
 from .graph import connected_components, minfill_width
 from .model import Clause, PropMRF, literal_key
-from .simplify import SimplifyStatus, simplify
-from .ve import bucket_elimination, clauses_to_factors
+from .simplify import SimplifyOutcome, SimplifyStatus, simplify
+from .ve import LN2, bucket_elimination, bucket_tree, clauses_to_factors
 
 FORMULA = "formula"
 VARIABLE = "variable"
@@ -61,6 +74,10 @@ class BranchCandidate:
 class ExactResult:
     log_z: float
     stats: SearchStats
+    marginals: np.ndarray | None = None
+
+
+_Result = tuple[float, np.ndarray | None]
 
 
 def condition_on_clause(m: PropMRF, r: Clause) -> tuple[PropMRF, PropMRF]:
@@ -131,9 +148,13 @@ def choose_branch_clause(m: PropMRF, mode: str = FORMULA) -> BranchCandidate:
     return BranchCandidate(Clause([best_lit]), lit_counts[best_lit], 1)
 
 
-def canonical_key(m: PropMRF, with_weights: bool = True):
-    """Hashable form invariant under variable renaming (first-occurrence order)."""
-    rename: dict[int, int] = {}
+def canonical_key(m: PropMRF, with_weights: bool = True, _rename: dict | None = None):
+    """Hashable form invariant under variable renaming (first-occurrence order).
+
+    _rename, when given, is filled with the renaming the key was built under
+    (original variable -> canonical variable).
+    """
+    rename: dict[int, int] = {} if _rename is None else _rename
 
     def mapped(c: Clause) -> tuple[int, ...]:
         out = []
@@ -162,6 +183,152 @@ def _single_clause_log_z(m: PropMRF) -> float:
     return float(np.logaddexp(math.log(2**size - 1) + sc.weight, 0.0))
 
 
+def _single_clause_marginals(m: PropMRF, log_z: float) -> np.ndarray:
+    """P(v = true) under one clause over all s variables of m.
+
+    Setting a variable so that its literal holds satisfies the clause for all
+    2^(s-1) settings of the rest; setting it the other way leaves the
+    2^(s-1) - 1 settings that satisfy the rest of the clause, plus, for a
+    soft clause, the one falsifying setting at potential 1.
+    """
+    clause = m.hard[0] if m.hard else m.soft[0].clause
+    half = 2 ** (len(clause) - 1)
+    if m.hard:
+        p_holds = half / (2 * half - 1)
+        p_fails = (half - 1) / (2 * half - 1)
+    else:
+        w = m.soft[0].weight
+        p_holds = math.exp((len(clause) - 1) * LN2 + w - log_z)
+        log_fails = float(np.logaddexp(math.log(half - 1) + w, 0.0)) if half > 1 else 0.0
+        p_fails = math.exp(log_fails - log_z)
+    marginals = np.empty(m.num_vars)
+    for lit in clause.literals:
+        marginals[abs(lit) - 1] = p_holds if lit > 0 else p_fails
+    return marginals
+
+
+def _lift(out: SimplifyOutcome, num_vars: int, reduced: np.ndarray | None) -> np.ndarray:
+    """Marginals of the model simplify() was given, from those of its reduced
+    model: forced variables are certain and swept variables are fair coins."""
+    marginals = np.full(num_vars, 0.5)
+    for v, value in out.assignment.items():
+        marginals[v - 1] = 1.0 if value else 0.0
+    if out.variables:
+        marginals[np.array(out.variables) - 1] = reduced
+    return marginals
+
+
+def _permutation(rename: dict[int, int]) -> np.ndarray:
+    """Index array p with p[v - 1] = rename[v] - 1 over variables 1..len(rename)."""
+    return np.array([rename[v] for v in range(1, len(rename) + 1)]) - 1
+
+
+def _search(
+    m: PropMRF,
+    mode: str,
+    use_cache: bool,
+    ve_width_threshold: int,
+    with_marginals: bool,
+) -> ExactResult:
+    """The FDC search behind fdc_count and fdc_marginals.
+
+    Every call returns (log Z, marginals); the marginals are None when
+    with_marginals is off or Z is zero, so counting alone does no marginal
+    work.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"unknown branching mode {mode!r}")
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+    stats = SearchStats()
+    cache: dict | None = {} if use_cache else None
+
+    def solve(model: PropMRF) -> _Result:
+        out = simplify(model)
+        if out.status is SimplifyStatus.ZERO:
+            stats.leaves += 1
+            return float("-inf"), None
+        if out.status is SimplifyStatus.SCALAR:
+            stats.leaves += 1
+            if not with_marginals:
+                return out.log_weight, None
+            return out.log_weight, _lift(out, model.num_vars, None)
+        components = connected_components(out.model)
+        if len(components) == 1:
+            z_component, reduced = solve_component(out.model)
+            log_z = out.log_weight + z_component
+        else:
+            parts = [solve_component(c.model) for c in components]
+            log_z = out.log_weight + sum(part[0] for part in parts)
+            if with_marginals and log_z != -math.inf:
+                reduced = np.empty(out.model.num_vars)
+                for c, (_, part) in zip(components, parts):
+                    reduced[np.array(sorted(c.variables)) - 1] = part
+        if not with_marginals or log_z == -math.inf:
+            return log_z, None
+        return log_z, _lift(out, model.num_vars, reduced)
+
+    def solve_component(model: PropMRF) -> _Result:
+        if cache is None:
+            return expand(model)
+        rename: dict[int, int] = {}
+        key = canonical_key(model, _rename=rename)
+        hit = cache.get(key)
+        if hit is not None:
+            stats.cache_hits += 1
+            log_z, canonical = hit
+            if canonical is None:
+                return hit
+            return log_z, canonical[_permutation(rename)]
+        value = expand(model)
+        log_z, marginals = value
+        if marginals is None:
+            cache[key] = value
+        else:
+            canonical = np.empty_like(marginals)
+            canonical[_permutation(rename)] = marginals
+            cache[key] = (log_z, canonical)
+        stats.cache_entries = len(cache)
+        return value
+
+    def expand(model: PropMRF) -> _Result:
+        if model.num_clauses == 1:
+            stats.leaves += 1
+            log_z = _single_clause_log_z(model)
+            if not with_marginals:
+                return log_z, None
+            return log_z, _single_clause_marginals(model, log_z)
+        if ve_width_threshold > 0:
+            estimate = minfill_width(model)
+            if estimate.width < ve_width_threshold:
+                stats.leaves += 1
+                bound = estimate.width + 1
+                factors = clauses_to_factors(model, max_width=bound)
+                if not with_marginals:
+                    return bucket_elimination(factors, estimate.order, max_width=bound), None
+                log_z, in_order = bucket_tree(factors, estimate.order, max_width=bound)
+                if in_order is None:
+                    return log_z, None
+                marginals = np.empty(model.num_vars)
+                marginals[np.array(estimate.order) - 1] = in_order
+                return log_z, marginals
+        candidate = choose_branch_clause(model, mode)
+        stats.nodes += 1
+        m_true, m_false = condition_on_clause(model, candidate.clause)
+        z_true, marg_true = solve(m_true)
+        z_false, marg_false = solve(m_false)
+        log_z = float(np.logaddexp(z_true, z_false))
+        if not with_marginals or log_z == -math.inf:
+            return log_z, None
+        marginals = np.zeros(model.num_vars)
+        for z_branch, marg_branch in ((z_true, marg_true), (z_false, marg_false)):
+            if z_branch != -math.inf:
+                marginals += math.exp(z_branch - log_z) * marg_branch
+        return log_z, marginals
+
+    log_z, marginals = solve(m)
+    return ExactResult(log_z, stats, marginals)
+
+
 def fdc_count(
     m: PropMRF,
     mode: str = FORMULA,
@@ -174,58 +341,24 @@ def fdc_count(
     threshold to bucket elimination; 0 disables the fallback.  Cache on and
     off produce identical values; only the statistics differ.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown branching mode {mode!r}")
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-    stats = SearchStats()
-    cache: dict | None = {} if use_cache else None
+    return _search(m, mode, use_cache, ve_width_threshold, with_marginals=False)
 
-    def solve(model: PropMRF) -> float:
-        out = simplify(model)
-        if out.status is SimplifyStatus.ZERO:
-            stats.leaves += 1
-            return float("-inf")
-        if out.status is SimplifyStatus.SCALAR:
-            stats.leaves += 1
-            return out.log_weight
-        components = connected_components(out.model)
-        if len(components) == 1:
-            return out.log_weight + solve_component(out.model)
-        return out.log_weight + sum(solve_component(c.model) for c in components)
 
-    def solve_component(model: PropMRF) -> float:
-        if cache is None:
-            return expand(model)
-        key = canonical_key(model)
-        hit = cache.get(key)
-        if hit is not None:
-            stats.cache_hits += 1
-            return hit
-        value = expand(model)
-        cache[key] = value
-        stats.cache_entries = len(cache)
-        return value
+def fdc_marginals(
+    m: PropMRF,
+    mode: str = FORMULA,
+    use_cache: bool = True,
+    ve_width_threshold: int = 16,
+) -> ExactResult:
+    """fdc_count's search that also returns P(v = true) for every variable.
 
-    def expand(model: PropMRF) -> float:
-        if model.num_clauses == 1:
-            stats.leaves += 1
-            return _single_clause_log_z(model)
-        if ve_width_threshold > 0:
-            estimate = minfill_width(model)
-            if estimate.width < ve_width_threshold:
-                stats.leaves += 1
-                bound = estimate.width + 1
-                return bucket_elimination(
-                    clauses_to_factors(model, max_width=bound),
-                    estimate.order,
-                    max_width=bound,
-                )
-        candidate = choose_branch_clause(model, mode)
-        stats.nodes += 1
-        m_true, m_false = condition_on_clause(model, candidate.clause)
-        return float(np.logaddexp(solve(m_true), solve(m_false)))
-
-    return ExactResult(solve(m), stats)
+    One upward and one downward pass: the search trace is read as a
+    decision-DNNF circuit and differentiated.  Conditioning nodes mix their
+    branches' marginals by the branches' shares of Z, decomposition nodes
+    concatenate their components' marginals, and bucket-elimination leaves
+    run the bucket-tree pass.  The marginals are None when Z is zero.
+    """
+    return _search(m, mode, use_cache, ve_width_threshold, with_marginals=True)
 
 
 def _branch_candidates(m: PropMRF, mode: str) -> list[Clause]:
@@ -308,23 +441,10 @@ def exact_marginals(
     use_cache: bool = True,
     ve_width_threshold: int = 16,
 ) -> np.ndarray:
-    """Exact P(v = true) for every variable: the partition function with v
-    fixed true over the unconditioned partition function."""
-    base = fdc_count(
+    """Exact P(v = true) for every variable, from one fdc_marginals search."""
+    marginals = fdc_marginals(
         m, mode=mode, use_cache=use_cache, ve_width_threshold=ve_width_threshold
-    ).log_z
-    if base == -math.inf:
+    ).marginals
+    if marginals is None:
         raise ValueError("all assignments have zero weight; marginals undefined")
-    marginals = np.zeros(m.num_vars)
-    for v in range(1, m.num_vars + 1):
-        conditioned = PropMRF(
-            num_vars=m.num_vars, hard=m.hard + (Clause([v]),), soft=m.soft
-        )
-        log_zv = fdc_count(
-            conditioned,
-            mode=mode,
-            use_cache=use_cache,
-            ve_width_threshold=ve_width_threshold,
-        ).log_z
-        marginals[v - 1] = math.exp(log_zv - base)
     return np.clip(marginals, 0.0, 1.0)

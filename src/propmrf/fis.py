@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bp import BpConfig, BpMarginals, formula_proposal, run_bp, variable_proposal
-from .fdc import FORMULA, InstanceTooLargeError, fdc_count
+from .fdc import FORMULA, InstanceTooLargeError, fdc_count, fdc_marginals
 from .model import Clause, PropMRF
-from .sat import is_satisfiable, unit_propagate
+from .sat import is_satisfiable, unit_propagate  # noqa: F401  (perfbench traces this name)
 
 _CLAMP = 1e-9
 
@@ -74,9 +74,26 @@ class Sample:
         return self.log_count + self.log_soft_weight - math.log(self.qb)
 
 
+def _times_exp(x: float, log_scale: float) -> float:
+    """x * exp(log_scale) for x >= 0; inf when that is beyond float range."""
+    try:
+        return x * math.exp(log_scale)
+    except OverflowError:
+        if x == 0.0:
+            return 0.0
+        try:
+            return math.exp(math.log(x) + log_scale)
+        except OverflowError:
+            return math.inf
+
+
 @dataclass(frozen=True)
 class Estimate:
-    """Sample-mean estimate of Z with spread statistics in linear scale."""
+    """Sample-mean estimate of Z with spread statistics in linear scale.
+
+    log_z_hat is authoritative; the linear fields are inf when they are
+    beyond float range.
+    """
 
     log_z_hat: float
     n_samples: int
@@ -85,7 +102,7 @@ class Estimate:
 
     @property
     def z_hat(self) -> float:
-        return math.exp(self.log_z_hat)
+        return _times_exp(1.0, self.log_z_hat)
 
 
 @dataclass(frozen=True)
@@ -121,9 +138,8 @@ def estimate_from_log_weights(log_weights: np.ndarray) -> Estimate:
     log_z_hat = shift + math.log(mean)
     if n > 1:
         var_scaled = float(scaled.var(ddof=1))
-        scale = math.exp(2.0 * shift)
-        variance = var_scaled * scale
-        std_error = math.sqrt(var_scaled / n) * math.exp(shift)
+        variance = _times_exp(var_scaled, 2.0 * shift)
+        std_error = _times_exp(math.sqrt(var_scaled / n), shift)
     else:
         variance = 0.0
         std_error = 0.0
@@ -599,8 +615,8 @@ def fis_marginals(result: FisResult, ve_width_threshold: int = 16) -> np.ndarray
     """Self-normalized estimate of P(v = true) for every variable.
 
     Each sample contributes its importance weight times the exact fraction of
-    the sampled formula's solutions that set v true; fractions are computed
-    once per distinct formula assignment.
+    the sampled formula's solutions that set v true; the fractions come from
+    one fdc_marginals search per distinct formula assignment.
     """
     m = result.model
     log_weights = np.array([s.log_estimate for s in result.samples])
@@ -624,25 +640,16 @@ def fis_marginals(result: FisResult, ve_width_threshold: int = 16) -> np.ndarray
         bits = _pack(values)
         ratios = ratio_cache.get(bits)
         if ratios is None:
-            base = sample.log_count
             ratios = np.zeros(m.num_vars)
-            if base != -math.inf:
-                constraints = sampler.constraints_for(values)
-                forced = unit_propagate(constraints).assignment
-                for v in range(1, m.num_vars + 1):
-                    if v in forced:
-                        ratios[v - 1] = 1.0 if forced[v] else 0.0
-                        continue
-                    conditioned = PropMRF(
-                        num_vars=m.num_vars,
-                        hard=tuple(constraints) + (Clause([v]),),
-                        soft=(),
-                    )
-                    log_cv = fdc_count(
-                        conditioned, mode=FORMULA,
-                        ve_width_threshold=ve_width_threshold,
-                    ).log_z
-                    ratios[v - 1] = math.exp(log_cv - base)
+            if sample.log_count != -math.inf:
+                counting = PropMRF(
+                    num_vars=m.num_vars,
+                    hard=tuple(sampler.constraints_for(values)),
+                    soft=(),
+                )
+                ratios = fdc_marginals(
+                    counting, mode=FORMULA, ve_width_threshold=ve_width_threshold
+                ).marginals
             ratio_cache[bits] = ratios
         total_weight += weight
         accum += weight * ratios

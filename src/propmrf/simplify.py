@@ -12,14 +12,17 @@ containing a hard clause as a subset is satisfied by every solution and is
 treated the same way.  Falsified soft clauses contribute potential 1 and are
 dropped without weight.  Each unconstrained, unassigned variable contributes
 ln 2.  The reduced model is renumbered over its surviving variables, so the
-identity above holds with Z computed on the reduced model alone.
+identity above holds with Z computed on the reduced model alone.  The
+outcome also records the forced assignment and the surviving variables, so
+results on the reduced model can be mapped back: variable i of the reduced
+model is variables[i - 1] of the original.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import (
     Assignment,
@@ -48,6 +51,8 @@ class SimplifyOutcome:
     model: PropMRF
     log_weight: float
     status: SimplifyStatus
+    assignment: Assignment = field(default_factory=dict)
+    variables: tuple[int, ...] = ()
 
 
 def _shrink(clause: Clause, assignment: Assignment) -> Clause:
@@ -129,7 +134,11 @@ def simplify(m: PropMRF) -> SimplifyOutcome:
             log_weight += LN2
 
     if not hard and not soft:
-        return SimplifyOutcome(_EMPTY, log_weight, SimplifyStatus.SCALAR)
+        return SimplifyOutcome(_EMPTY, log_weight, SimplifyStatus.SCALAR, assignment)
     return SimplifyOutcome(
-        compact_model(tuple(hard), tuple(soft)), log_weight, SimplifyStatus.OPEN
+        compact_model(tuple(hard), tuple(soft)),
+        log_weight,
+        SimplifyStatus.OPEN,
+        assignment,
+        tuple(sorted(occurring)),
     )

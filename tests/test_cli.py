@@ -7,6 +7,7 @@ import pytest
 from propmrf import (
     Clause,
     PropMRF,
+    SoftClause,
     brute_force_marginals,
     brute_force_z,
     fdc_count,
@@ -137,6 +138,46 @@ def test_marginals_exact_matches_brute_force(mixed_model_file, capsys):
     got = np.array(report["result"]["marginals"])
     assert got.shape == (m.num_vars,)
     assert np.max(np.abs(got - brute_force_marginals(m))) < 1e-9
+
+
+def test_marginals_exact_degenerate_model_exits_6(tmp_path, capsys):
+    path = tmp_path / "unsat.pmrf"
+    path.write_text(write_model(PropMRF.from_lists(2, hard=[[1], [-1]], soft=[(0.5, [2])])))
+    code, out, err = run_cli(["marginals", str(path)], capsys)
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_marginals_exact_reports_search_diagnostics(mixed_model_file, capsys):
+    path, m = mixed_model_file
+    report = run_json(["marginals", path, "--ve-width", "0"], capsys)
+    counted = run_json(["count", path, "--ve-width", "0"], capsys)
+    assert report["diagnostics"] == counted["stats"]
+    assert report["diagnostics"]["leaves"] > 0
+
+
+def test_count_beyond_float_range_reports_null_z(tmp_path, capsys):
+    path = tmp_path / "free.pmrf"
+    path.write_text(write_model(PropMRF(1100)))
+    report = run_json(["count", str(path)], capsys)
+    assert report["result"]["log_z"] == pytest.approx(1100 * math.log(2.0), rel=1e-12)
+    assert report["result"]["z"] is None
+
+
+def test_sample_beyond_float_range_reports_null_fields(tmp_path, capsys):
+    # Weights near 80 on 10 clauses put Z near e^805.
+    g = gen_random(10, 10, 3, seed=0)
+    m = PropMRF(10, g.hard, tuple(SoftClause(sc.clause, 80.0 + sc.weight) for sc in g.soft))
+    path = tmp_path / "heavy.pmrf"
+    path.write_text(write_model(m))
+    for method in ("fis", "vis"):
+        report = run_json(["sample", str(path), "--method", method, "--samples", "50"], capsys)
+        result = report["result"]
+        assert result["log_z_hat"] == pytest.approx(brute_force_z(m), abs=1.0)
+        assert result["z_hat"] is None
+    assert result["sample_variance"] is None
+    assert result["std_error"] is None
 
 
 def test_marginals_sampling_methods_run(soft_model_file, capsys):

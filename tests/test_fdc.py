@@ -9,16 +9,19 @@ from propmrf import (
     Clause,
     InstanceTooLargeError,
     PropMRF,
+    SoftClause,
     brute_force_marginals,
+    brute_force_z,
     canonical_key,
     choose_branch_clause,
     condition_on_clause,
     exact_marginals,
     fdc_count,
+    fdc_marginals,
     minimal_search_space,
 )
 
-from conftest import calibration_model, naive_log_z, random_mixed_model
+from conftest import calibration_model, naive_log_z, random_clause, random_mixed_model
 
 
 def test_conditioning_splits_the_assignment_space():
@@ -181,15 +184,83 @@ def test_unknown_mode_rejected():
         fdc_count(PropMRF(1), mode="mixed")
 
 
+def _degenerate_models(rng: np.random.Generator) -> list[PropMRF]:
+    """Zero variables, unused variables, duplicate clauses, hard-only models
+    and weights of +-1e3."""
+    models = [
+        PropMRF(0),
+        PropMRF(3),
+        PropMRF.from_lists(4, soft=[(0.7, [2])]),
+        PropMRF.from_lists(3, hard=[[1, -2]], soft=[(0.5, [1, -2]), (0.5, [1, -2])]),
+        PropMRF.from_lists(3, hard=[[1, 2], [1, 2], [-1, 3]]),
+        PropMRF.from_lists(2, soft=[(1e3, [1, 2]), (-1e3, [-1])]),
+    ]
+    for _ in range(20):
+        m = random_mixed_model(rng, max_vars=7, max_hard=4, max_soft=0)
+        extra = m.num_vars + int(rng.integers(0, 3))
+        models.append(PropMRF(extra, m.hard + m.hard[:1], ()))
+        m = random_mixed_model(rng, max_vars=7, max_hard=2, max_soft=5)
+        soft = tuple(SoftClause(sc.clause, float(rng.choice([-1e3, 1e3]))) for sc in m.soft)
+        models.append(PropMRF(m.num_vars, m.hard, soft + soft[:1]))
+    return models
+
+
 def test_exact_marginals_match_enumeration():
     rng = np.random.default_rng(8404)
-    for _ in range(40):
-        m = random_mixed_model(rng, max_vars=6, max_hard=2, max_soft=4)
-        if naive_log_z(m) == -math.inf:
+    models = [
+        random_mixed_model(rng, max_vars=8, max_hard=3, max_soft=6, max_size=4)
+        for _ in range(60)
+    ]
+    models += _degenerate_models(rng)
+    # Two components with one canonical key under different renamings: the
+    # second is a cache hit whose marginals must be mapped back.
+    models.append(
+        PropMRF.from_lists(6, hard=[[1, 2], [5, 6]], soft=[(0.5, [1, 3]), (0.5, [4, 5])])
+    )
+    checked = 0
+    for m in models:
+        if brute_force_z(m) == -math.inf:
             continue
-        got = exact_marginals(m)
         expected = brute_force_marginals(m)
-        assert np.max(np.abs(got - expected)) < 1e-9
+        for mode in (FORMULA, VARIABLE):
+            for use_cache in (True, False):
+                for threshold in (0, 2, 16):
+                    got = exact_marginals(
+                        m, mode=mode, use_cache=use_cache, ve_width_threshold=threshold
+                    )
+                    assert got.shape == (m.num_vars,)
+                    assert np.all(np.abs(got - expected) <= 1e-12)
+                    checked += 1
+    assert checked > 600
+
+
+def test_marginal_search_is_the_counting_search():
+    # Same log Z bit for bit, same search statistics, and cache hits whose
+    # marginals are mapped back through a non-trivial renaming.
+    rng = np.random.default_rng(8405)
+    renamed_hits = 0
+    for _ in range(40):
+        m = random_mixed_model(rng, max_vars=8, max_hard=2, max_soft=6)
+        for mode in (FORMULA, VARIABLE):
+            counted = fdc_count(m, mode=mode, ve_width_threshold=0)
+            both = fdc_marginals(m, mode=mode, ve_width_threshold=0)
+            assert both.log_z == counted.log_z
+            assert both.stats == counted.stats
+            assert counted.marginals is None
+            renamed_hits += both.stats.cache_hits
+    assert renamed_hits > 0
+
+
+def test_single_clause_marginals_closed_form():
+    for lits in ([1], [-1], [1, -2], [-1, 2, -3]):
+        for m in (
+            PropMRF.from_lists(len(lits), hard=[lits]),
+            PropMRF.from_lists(len(lits), soft=[(1.3, lits)]),
+            PropMRF.from_lists(len(lits), soft=[(-1e3, lits)]),
+        ):
+            got = fdc_marginals(m, ve_width_threshold=0)
+            assert got.stats.leaves == 1
+            assert np.all(np.abs(got.marginals - brute_force_marginals(m)) <= 1e-12)
 
 
 def test_exact_marginals_reject_zero_partition_function():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from propmrf import (
     AllZeroWeightsError,
+    Clause,
     Estimate,
     FisResult,
     InstanceTooLargeError,
@@ -17,6 +20,7 @@ from propmrf import (
     enumerate_formula_assignments,
     estimate_z,
     fis_marginals,
+    gen_random,
     marginals_from_samples,
     run_fis,
     run_vis,
@@ -212,6 +216,24 @@ def test_estimate_from_log_weights_statistics():
         estimate_from_log_weights(np.array([]))
 
 
+def test_estimate_from_log_weights_out_of_float_range():
+    # exp(2 * 400) and exp(800) overflow a float; the log estimate must not.
+    near = estimate_from_log_weights(np.array([400.0, 401.0]))
+    assert near.log_z_hat == pytest.approx(400.0 + math.log((1.0 + math.e) / 2.0), rel=1e-15)
+    assert near.sample_variance == math.inf
+    assert near.std_error == pytest.approx(
+        math.sqrt(np.var([1.0, math.e], ddof=1) / 2.0) * math.exp(400.0), rel=1e-12
+    )
+    far = estimate_from_log_weights(np.array([800.0, 801.0, 801.0]))
+    assert far.log_z_hat == pytest.approx(801.0 + math.log((2.0 + 1.0 / math.e) / 3.0), rel=1e-15)
+    assert far.z_hat == math.inf
+    assert far.sample_variance == math.inf
+    assert far.std_error == math.inf
+    flat = estimate_from_log_weights(np.array([900.0, 900.0]))
+    assert flat.sample_variance == 0.0
+    assert flat.std_error == 0.0
+
+
 def test_estimates_concentrate_on_the_true_value():
     rng = np.random.default_rng(8608)
     m = sampling_model(rng, max_vars=7, max_soft=5)
@@ -276,3 +298,52 @@ def test_no_soft_clauses_degenerates_to_exact_counting():
         brute_force_z(m), abs=1e-12
     )
     assert result.estimate.sample_variance == 0.0
+
+
+def _golden_model() -> PropMRF:
+    soft = gen_random(10, 8, 3, seed=8612).soft
+    return PropMRF(10, (Clause([1, 2, -3]), Clause([-4, 5]), Clause([6])), soft)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_fixed_seed_draws_are_pinned():
+    # Pins a fixed seed's draws, their proposal probabilities and both
+    # estimates bit for bit, so that work on the marginal code, which runs
+    # after sampling, cannot move them unnoticed.
+    m = _golden_model()
+    fis = run_fis(m, 300, seed=5)
+    vis = run_vis(m, 300, seed=5)
+    assert fis.estimate.log_z_hat == 3.7300337085432202
+    assert vis.estimate.log_z_hat == 3.7546743678074286
+    assert (
+        _digest([[list(s.h.values), s.qb.hex()] for s in fis.samples])
+        == "5e326898372a9b54db53d931acd128d9c0e4fe6b2f5c3244bcf590f35b3c72d1"
+    )
+    assert (
+        _digest(vis.assignments.astype(int).tolist())
+        == "ba7dc0886875a1fed8f479793ea53df87a6954dbead3cc7c53b3cda9a67ff224"
+    )
+
+
+def test_fis_marginals_match_brute_force_per_assignment():
+    # Reference: each distinct formula assignment's hard-only model, solved
+    # by enumeration, weighted by the samples' importance weights.
+    rng = np.random.default_rng(8612)
+    models = [_golden_model()] + [sampling_model(rng, max_vars=7, max_soft=5) for _ in range(6)]
+    for k, m in enumerate(models):
+        result = run_fis(m, 200, seed=k)
+        log_w = np.array([s.log_estimate for s in result.samples])
+        weights = np.exp(log_w - log_w.max())
+        expected = np.zeros(m.num_vars)
+        for sample, weight in zip(result.samples, weights):
+            if weight == 0.0:
+                continue
+            hard = list(m.hard)
+            for clause, value in zip(result.h_clauses, sample.h.values):
+                hard += [clause] if value else [Clause([-l]) for l in clause.literals]
+            expected += weight * brute_force_marginals(PropMRF(m.num_vars, tuple(hard)))
+        expected /= weights.sum()
+        assert np.all(np.abs(fis_marginals(result) - expected) <= 1e-12)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from propmrf import Clause, PropMRF, VeWidthError, ve_count
-from propmrf.ve import bucket_elimination, clause_to_factor, clauses_to_factors
+from propmrf.ve import (
+    Factor,
+    bucket_elimination,
+    bucket_tree,
+    clause_to_factor,
+    clauses_to_factors,
+)
 
 from conftest import naive_log_z, random_mixed_model
 
@@ -89,3 +95,54 @@ def test_clauses_to_factors_rejects_wide_clause():
     m = PropMRF.from_lists(4, hard=[[1, 2, 3, 4]])
     with pytest.raises(VeWidthError):
         clauses_to_factors(m, max_width=3)
+
+
+def _random_factors(rng: np.random.Generator, n: int) -> list[Factor]:
+    """Random log tables over random scopes; about a third of the entries
+    are -inf, as hard clauses make them."""
+    factors = []
+    for _ in range(int(rng.integers(0, 7))):
+        size = int(rng.integers(0, min(3, n) + 1))
+        scope = tuple(sorted(int(v) for v in rng.choice(n, size=size, replace=False) + 1))
+        table = rng.normal(size=(2,) * size)
+        table[rng.random(table.shape) < 0.3] = -math.inf
+        factors.append(Factor(scope, np.asarray(table)))
+    return factors
+
+
+def _enumerate(factors: list[Factor], n: int) -> tuple[float, np.ndarray]:
+    """log Z and the true-state marginals from the full joint table."""
+    joint = np.zeros((2,) * n)
+    for f in factors:
+        shape = [2 if v in f.scope else 1 for v in range(1, n + 1)]
+        joint = joint + np.reshape(f.table, shape)
+    log_z = float(np.logaddexp.reduce(joint.ravel())) if n else float(joint)
+    if log_z == -math.inf:
+        return log_z, np.full(n, np.nan)
+    prob = np.exp(joint - log_z)
+    marginals = np.array(
+        [prob.sum(axis=tuple(a for a in range(n) if a != v))[1] for v in range(n)]
+    )
+    return log_z, marginals
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bucket_tree_matches_enumeration_with_infinite_entries():
+    rng = np.random.default_rng(8303)
+    zero = 0
+    for _ in range(400):
+        n = int(rng.integers(0, 7))
+        factors = _random_factors(rng, n) if n else []
+        order = [int(v) for v in rng.permutation(n) + 1]
+        expected_z, expected = _enumerate(factors, n)
+        log_z, marginals = bucket_tree(factors, order)
+        assert log_z == pytest.approx(bucket_elimination(factors, order), abs=1e-12)
+        if expected_z == -math.inf:
+            assert log_z == -math.inf and marginals is None
+            zero += 1
+            continue
+        assert log_z == pytest.approx(expected_z, abs=1e-12)
+        in_variable_order = np.empty(n)
+        in_variable_order[np.array(order, dtype=int) - 1] = marginals
+        assert np.all(np.abs(in_variable_order - expected) <= 1e-12)
+    assert zero > 0
