@@ -19,6 +19,16 @@ accumulate their own counts without adding a node.
 Component results are cached under a canonical renaming, so structurally
 identical submodels met on different branches are solved once.
 
+fdc_count, fdc_marginals and minimal_search_space take a validated PropMRF
+and convert it once to the bare form of model.BareModel: a clause is the
+frozenset of its literals and a model is a (num_vars, hard, soft) tuple.
+Every clause the search derives is a subset or an injective renaming of a
+validated one, so nothing inside is validated again.  The layer steps
+(simplify, connected_components, canonical_key, choose_branch_clause,
+condition_on_clause, minfill_width, clauses_to_factors) are called through
+this module's names once per step, on bare models; given a PropMRF instead,
+each acts as a thin adapter and answers in PropMRF terms.
+
 fdc_marginals runs the same search and returns P(v = true) for every
 variable along with log Z.  Each call returns its model's marginals next to
 its log Z on the way back up, which reads the search trace as a
@@ -37,12 +47,14 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from .graph import connected_components, minfill_width
-from .model import Clause, PropMRF, literal_key
+from .model import BareClause, BareModel, Clause, PropMRF, from_bare, literal_key, to_bare
 from .simplify import SimplifyOutcome, SimplifyStatus, simplify
 from .ve import LN2, bucket_elimination, bucket_tree, clauses_to_factors
 
@@ -65,7 +77,7 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class BranchCandidate:
-    clause: Clause
+    clause: Clause | BareClause
     occurrence_count: int
     size: int
 
@@ -80,28 +92,29 @@ class ExactResult:
 _Result = tuple[float, np.ndarray | None]
 
 
-def condition_on_clause(m: PropMRF, r: Clause) -> tuple[PropMRF, PropMRF]:
+def condition_on_clause(
+    m: PropMRF | BareModel, r: Clause | BareClause
+) -> tuple[PropMRF, PropMRF] | tuple[BareModel, BareModel]:
     """The two conditioned models: r holds / every literal of r fails.
 
     Z(m) = Z(true branch) + Z(false branch), since the branches partition the
-    assignments of m.
+    assignments of m.  The models come back in the form m was given in.
     """
-    if not r.literals:
-        raise ValueError("cannot condition on the empty clause")
-    for lit in r.literals:
-        if abs(lit) > m.num_vars:
-            raise ValueError(f"literal {lit} out of range for {m.num_vars} variables")
-    m_true = PropMRF(m.num_vars, m.hard + (r,), m.soft)
-    units = tuple(Clause([-l]) for l in r.sorted_literals())
-    m_false = PropMRF(m.num_vars, m.hard + units, m.soft)
-    return m_true, m_false
+    if isinstance(m, PropMRF):
+        if not r.literals:
+            raise ValueError("cannot condition on the empty clause")
+        m_true, m_false = condition_on_clause(to_bare(m), r.literals)
+        return from_bare(m_true), from_bare(m_false)
+    num_vars, hard, soft = m
+    units = tuple(frozenset((-l,)) for l in sorted(r, key=abs))
+    return (num_vars, hard + (r,), soft), (num_vars, hard + units, soft)
 
 
 def _literal_seq_key(lits: frozenset[int]) -> tuple[tuple[int, bool], ...]:
-    return tuple(literal_key(l) for l in sorted(lits, key=literal_key))
+    return tuple(literal_key(l) for l in sorted(lits, key=abs))
 
 
-def choose_branch_clause(m: PropMRF, mode: str = FORMULA) -> BranchCandidate:
+def choose_branch_clause(m: PropMRF | BareModel, mode: str = FORMULA) -> BranchCandidate:
     """Branching heuristic: the largest sub-clause common to the most clauses.
 
     Formula mode scans all pairwise literal-set intersections and maximizes
@@ -109,10 +122,17 @@ def choose_branch_clause(m: PropMRF, mode: str = FORMULA) -> BranchCandidate:
     sequence; if every intersection is empty it falls back to the most
     frequent single literal.  Variable mode picks the variable occurring in
     the most clauses (smallest index on ties) as a positive unit clause.
+    The candidate's clause is a Clause when m is a PropMRF and a bare clause
+    when m is bare.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
-    clauses = [c.literals for c in m.iter_clauses()]
+    if isinstance(m, PropMRF):
+        candidate = choose_branch_clause(to_bare(m), mode)
+        return replace(candidate, clause=Clause(candidate.clause))
+    _, hard, soft = m
+    clauses = list(hard)
+    clauses.extend(c for c, _ in soft)
     if not clauses:
         raise ValueError("model has no clauses to branch on")
 
@@ -122,7 +142,7 @@ def choose_branch_clause(m: PropMRF, mode: str = FORMULA) -> BranchCandidate:
             for lit in lits:
                 counts[abs(lit)] = counts.get(abs(lit), 0) + 1
         best_var = min(counts, key=lambda v: (-counts[v], v))
-        return BranchCandidate(Clause([best_var]), counts[best_var], 1)
+        return BranchCandidate(frozenset((best_var,)), counts[best_var], 1)
 
     intersections: set[frozenset[int]] = set()
     for i, a in enumerate(clauses):
@@ -131,59 +151,62 @@ def choose_branch_clause(m: PropMRF, mode: str = FORMULA) -> BranchCandidate:
             if common:
                 intersections.add(common)
     if intersections:
-        occurrence = {
-            r: sum(1 for lits in clauses if r <= lits) for r in intersections
+        score = {
+            r: (sum(1 for lits in clauses if r <= lits), len(r)) for r in intersections
         }
-        best = min(
-            intersections,
-            key=lambda r: (-occurrence[r], -len(r), _literal_seq_key(r)),
-        )
-        return BranchCandidate(Clause(best), occurrence[best], len(best))
+        top = max(score.values())
+        tied = [r for r, s in score.items() if s == top]
+        best = tied[0] if len(tied) == 1 else min(tied, key=_literal_seq_key)
+        return BranchCandidate(best, *top)
 
     lit_counts: dict[int, int] = {}
     for lits in clauses:
         for lit in lits:
             lit_counts[lit] = lit_counts.get(lit, 0) + 1
     best_lit = min(lit_counts, key=lambda l: (-lit_counts[l], literal_key(l)))
-    return BranchCandidate(Clause([best_lit]), lit_counts[best_lit], 1)
+    return BranchCandidate(frozenset((best_lit,)), lit_counts[best_lit], 1)
 
 
-def canonical_key(m: PropMRF, with_weights: bool = True, _rename: dict | None = None):
+def canonical_key(
+    m: PropMRF | BareModel, with_weights: bool = True, _rename: dict | None = None
+):
     """Hashable form invariant under variable renaming (first-occurrence order).
 
     _rename, when given, is filled with the renaming the key was built under
     (original variable -> canonical variable).
     """
+    num_vars, hard, soft = to_bare(m)
     rename: dict[int, int] = {} if _rename is None else _rename
 
-    def mapped(c: Clause) -> tuple[int, ...]:
+    def mapped(c: BareClause) -> tuple[int, ...]:
         out = []
-        for lit in c.sorted_literals():
+        for lit in sorted(c, key=abs):
             v = abs(lit)
-            if v not in rename:
-                rename[v] = len(rename) + 1
-            out.append(rename[v] if lit > 0 else -rename[v])
-        return tuple(sorted(out, key=literal_key))
+            r = rename.get(v)
+            if r is None:
+                r = rename[v] = len(rename) + 1
+            out.append(r if lit > 0 else -r)
+        out.sort(key=abs)
+        return tuple(out)
 
-    hard = tuple(mapped(c) for c in m.hard)
+    hard_keys = sorted([mapped(c) for c in hard])
     if with_weights:
-        soft = tuple((mapped(sc.clause), sc.weight) for sc in m.soft)
+        soft_keys = sorted([(mapped(c), w) for c, w in soft])
     else:
-        soft = tuple((mapped(sc.clause),) for sc in m.soft)
-    return (m.num_vars, tuple(sorted(hard)), tuple(sorted(soft)))
+        soft_keys = sorted([(mapped(c),) for c, _ in soft])
+    return (num_vars, tuple(hard_keys), tuple(soft_keys))
 
 
-def _single_clause_log_z(m: PropMRF) -> float:
+def _single_clause_log_z(m: BareModel) -> float:
     """Closed form for a model reduced to exactly one clause over its variables."""
-    if m.hard:
-        size = len(m.hard[0])
-        return math.log(2**size - 1)
-    sc = m.soft[0]
-    size = len(sc.clause)
-    return float(np.logaddexp(math.log(2**size - 1) + sc.weight, 0.0))
+    _, hard, soft = m
+    if hard:
+        return math.log(2 ** len(hard[0]) - 1)
+    clause, weight = soft[0]
+    return float(np.logaddexp(math.log(2 ** len(clause) - 1) + weight, 0.0))
 
 
-def _single_clause_marginals(m: PropMRF, log_z: float) -> np.ndarray:
+def _single_clause_marginals(m: BareModel, log_z: float) -> np.ndarray:
     """P(v = true) under one clause over all s variables of m.
 
     Setting a variable so that its literal holds satisfies the clause for all
@@ -191,18 +214,19 @@ def _single_clause_marginals(m: PropMRF, log_z: float) -> np.ndarray:
     2^(s-1) - 1 settings that satisfy the rest of the clause, plus, for a
     soft clause, the one falsifying setting at potential 1.
     """
-    clause = m.hard[0] if m.hard else m.soft[0].clause
+    num_vars, hard, soft = m
+    clause = hard[0] if hard else soft[0][0]
     half = 2 ** (len(clause) - 1)
-    if m.hard:
+    if hard:
         p_holds = half / (2 * half - 1)
         p_fails = (half - 1) / (2 * half - 1)
     else:
-        w = m.soft[0].weight
+        w = soft[0][1]
         p_holds = math.exp((len(clause) - 1) * LN2 + w - log_z)
         log_fails = float(np.logaddexp(math.log(half - 1) + w, 0.0)) if half > 1 else 0.0
         p_fails = math.exp(log_fails - log_z)
-    marginals = np.empty(m.num_vars)
-    for lit in clause.literals:
+    marginals = np.empty(num_vars)
+    for lit in clause:
         marginals[abs(lit) - 1] = p_holds if lit > 0 else p_fails
     return marginals
 
@@ -223,6 +247,17 @@ def _permutation(rename: dict[int, int]) -> np.ndarray:
     return np.array([rename[v] for v in range(1, len(rename) + 1)]) - 1
 
 
+@contextmanager
+def _recursion_room() -> Iterator[None]:
+    """Room for a recursion as deep as the search, restoring the caller's limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 100_000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def _search(
     m: PropMRF,
     mode: str,
@@ -232,17 +267,17 @@ def _search(
 ) -> ExactResult:
     """The FDC search behind fdc_count and fdc_marginals.
 
-    Every call returns (log Z, marginals); the marginals are None when
-    with_marginals is off or Z is zero, so counting alone does no marginal
-    work.
+    m is converted to the bare form once; every step below works on bare
+    models.  Every call returns (log Z, marginals); the marginals are None
+    when with_marginals is off or Z is zero, so counting alone does no
+    marginal work.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
     stats = SearchStats()
     cache: dict | None = {} if use_cache else None
 
-    def solve(model: PropMRF) -> _Result:
+    def solve(model: BareModel) -> _Result:
         out = simplify(model)
         if out.status is SimplifyStatus.ZERO:
             stats.leaves += 1
@@ -251,7 +286,7 @@ def _search(
             stats.leaves += 1
             if not with_marginals:
                 return out.log_weight, None
-            return out.log_weight, _lift(out, model.num_vars, None)
+            return out.log_weight, _lift(out, model[0], None)
         components = connected_components(out.model)
         if len(components) == 1:
             z_component, reduced = solve_component(out.model)
@@ -260,14 +295,14 @@ def _search(
             parts = [solve_component(c.model) for c in components]
             log_z = out.log_weight + sum(part[0] for part in parts)
             if with_marginals and log_z != -math.inf:
-                reduced = np.empty(out.model.num_vars)
+                reduced = np.empty(out.model[0])
                 for c, (_, part) in zip(components, parts):
                     reduced[np.array(sorted(c.variables)) - 1] = part
         if not with_marginals or log_z == -math.inf:
             return log_z, None
-        return log_z, _lift(out, model.num_vars, reduced)
+        return log_z, _lift(out, model[0], reduced)
 
-    def solve_component(model: PropMRF) -> _Result:
+    def solve_component(model: BareModel) -> _Result:
         if cache is None:
             return expand(model)
         rename: dict[int, int] = {}
@@ -290,8 +325,9 @@ def _search(
         stats.cache_entries = len(cache)
         return value
 
-    def expand(model: PropMRF) -> _Result:
-        if model.num_clauses == 1:
+    def expand(model: BareModel) -> _Result:
+        num_vars, hard, soft = model
+        if len(hard) + len(soft) == 1:
             stats.leaves += 1
             log_z = _single_clause_log_z(model)
             if not with_marginals:
@@ -308,7 +344,7 @@ def _search(
                 log_z, in_order = bucket_tree(factors, estimate.order, max_width=bound)
                 if in_order is None:
                     return log_z, None
-                marginals = np.empty(model.num_vars)
+                marginals = np.empty(num_vars)
                 marginals[np.array(estimate.order) - 1] = in_order
                 return log_z, marginals
         candidate = choose_branch_clause(model, mode)
@@ -319,13 +355,14 @@ def _search(
         log_z = float(np.logaddexp(z_true, z_false))
         if not with_marginals or log_z == -math.inf:
             return log_z, None
-        marginals = np.zeros(model.num_vars)
+        marginals = np.zeros(num_vars)
         for z_branch, marg_branch in ((z_true, marg_true), (z_false, marg_false)):
             if z_branch != -math.inf:
                 marginals += math.exp(z_branch - log_z) * marg_branch
         return log_z, marginals
 
-    log_z, marginals = solve(m)
+    with _recursion_room():
+        log_z, marginals = solve(to_bare(m))
     return ExactResult(log_z, stats, marginals)
 
 
@@ -361,14 +398,14 @@ def fdc_marginals(
     return _search(m, mode, use_cache, ve_width_threshold, with_marginals=True)
 
 
-def _branch_candidates(m: PropMRF, mode: str) -> list[Clause]:
+def _branch_candidates(m: BareModel, mode: str) -> list[BareClause]:
+    num_vars, hard, soft = m
     if mode == VARIABLE:
-        return [Clause([v]) for v in range(1, m.num_vars + 1)]
-    hard_sets = [c.literals for c in m.hard]
-    soft_sets = [sc.clause.literals for sc in m.soft]
+        return [frozenset((v,)) for v in range(1, num_vars + 1)]
+    soft_sets = [c for c, _ in soft]
     subsets: set[frozenset[int]] = set()
-    for lits in hard_sets + soft_sets:
-        ordered = sorted(lits, key=literal_key)
+    for lits in list(hard) + soft_sets:
+        ordered = sorted(lits, key=abs)
         for size in range(1, len(ordered) + 1):
             for combo in itertools.combinations(ordered, size):
                 subsets.add(frozenset(combo))
@@ -376,10 +413,10 @@ def _branch_candidates(m: PropMRF, mode: str) -> list[Clause]:
         r
         for r in subsets
         if any(r <= s for s in soft_sets)
-        or any(r < h for h in hard_sets)
+        or any(r < h for h in hard)
     ]
     progressive.sort(key=lambda r: (len(r), _literal_seq_key(r)))
-    return [Clause(r) for r in progressive]
+    return progressive
 
 
 def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
@@ -388,6 +425,7 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
     Uses the same leaf convention as fdc_count but with caching off and no
     bucket-elimination fallback, so the counts describe the smallest pure
     conditioning/decomposition search space.  Only practical for tiny models.
+    Like the search, it converts m to the bare form once.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
@@ -396,10 +434,9 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
             f"minimal_search_space supports at most 10 variables and 6 clauses, "
             f"got {m.num_vars} and {m.num_clauses}"
         )
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
     memo: dict = {}
 
-    def best(model: PropMRF) -> tuple[int, int]:
+    def best(model: BareModel) -> tuple[int, int]:
         out = simplify(model)
         if out.status is not SimplifyStatus.OPEN:
             return (1, 0)
@@ -411,12 +448,12 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
             nodes += c_nodes
         return (leaves, nodes)
 
-    def best_component(model: PropMRF) -> tuple[int, int]:
+    def best_component(model: BareModel) -> tuple[int, int]:
         key = canonical_key(model, with_weights=False)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        if model.num_clauses == 1:
+        if len(model[1]) + len(model[2]) == 1:
             memo[key] = (1, 0)
             return (1, 0)
         best_cost: tuple[int, int] | None = None
@@ -431,7 +468,8 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
         memo[key] = best_cost
         return best_cost
 
-    leaves, nodes = best(m)
+    with _recursion_room():
+        leaves, nodes = best(to_bare(m))
     return SearchStats(nodes=nodes, leaves=leaves)
 
 

@@ -19,6 +19,10 @@ Model file format::
 
 Query file format: zero or more ``<lit> ... 0`` lines, each one clause of the
 query conjunction.
+
+The exact search runs on a bare form of the model (BareModel: frozensets of
+literals in a plain tuple) that to_bare builds once from a validated PropMRF;
+from_bare converts back, validating again.
 """
 
 from __future__ import annotations
@@ -300,6 +304,58 @@ def model_fingerprint(m: PropMRF) -> str:
     return hashlib.sha256(write_model(m).encode()).hexdigest()
 
 
+# The search's form of a model: (num_vars, hard, soft), each clause the
+# frozenset of its literals and each soft clause a (literals, weight) pair.
+# It is built only from a validated PropMRF, and the search derives from it
+# only subsets and injective renamings of those clauses, so it needs no
+# validation of its own.
+BareClause = frozenset[int]
+BareModel = tuple[int, tuple[BareClause, ...], tuple[tuple[BareClause, float], ...]]
+
+
+def to_bare(m: "PropMRF | BareModel") -> BareModel:
+    """The bare form of m; a model already in bare form is returned as is."""
+    if not isinstance(m, PropMRF):
+        return m
+    return (
+        m.num_vars,
+        tuple(c.literals for c in m.hard),
+        tuple((sc.clause.literals, sc.weight) for sc in m.soft),
+    )
+
+
+def from_bare(b: BareModel) -> PropMRF:
+    """The validated PropMRF with the clauses of a bare model."""
+    num_vars, hard, soft = b
+    return PropMRF(
+        num_vars,
+        tuple(Clause(c) for c in hard),
+        tuple(SoftClause(Clause(c), w) for c, w in soft),
+    )
+
+
+def compact_bare(
+    hard: Sequence[BareClause],
+    soft: Sequence[tuple[BareClause, float]],
+    variables: Sequence[int],
+) -> BareModel:
+    """compact_model over bare clauses, given the ascending variables that
+    occur in them.  Clauses already over 1..k are kept as they are."""
+    k = len(variables)
+    if not k or variables[-1] == k:
+        return (k, tuple(hard), tuple(soft))
+    rename: dict[int, int] = {}
+    for i, v in enumerate(variables, start=1):
+        rename[v] = i
+        rename[-v] = -i
+    get = rename.__getitem__
+    return (
+        k,
+        tuple(frozenset(map(get, c)) for c in hard),
+        tuple((frozenset(map(get, c)), w) for c, w in soft),
+    )
+
+
 def compact_model(
     hard: Sequence[Clause], soft: Sequence[SoftClause]
 ) -> PropMRF:
@@ -309,19 +365,9 @@ def compact_model(
     deterministic.  Every variable of the result occurs in some clause, which
     keeps the partition function of the result free of stray factor-2 terms.
     """
-    occurring = sorted(
-        {abs(l) for c in hard for l in c.literals}
-        | {abs(l) for sc in soft for l in sc.clause.literals}
+    bare_hard = [c.literals for c in hard]
+    bare_soft = [(sc.clause.literals, sc.weight) for sc in soft]
+    variables = sorted(
+        {abs(l) for c in bare_hard for l in c} | {abs(l) for c, _ in bare_soft for l in c}
     )
-    rename = {v: i for i, v in enumerate(occurring, start=1)}
-
-    def map_clause(c: Clause) -> Clause:
-        return Clause(
-            rename[abs(l)] if l > 0 else -rename[abs(l)] for l in c.literals
-        )
-
-    return PropMRF(
-        len(occurring),
-        tuple(map_clause(c) for c in hard),
-        tuple(SoftClause(map_clause(sc.clause), sc.weight) for sc in soft),
-    )
+    return from_bare(compact_bare(bare_hard, bare_soft, variables))

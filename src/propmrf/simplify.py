@@ -1,9 +1,9 @@
 """Weight-preserving model simplification.
 
-Repeatedly: propagate hard unit clauses, reduce soft clauses against the
-forced literals and against hard clauses that entail them, remove subsumed
-hard clauses, then sweep variables that no longer occur anywhere.  Every step
-preserves the partition function:
+Propagate hard unit clauses, reduce soft clauses against the forced literals
+and against hard clauses that entail them, remove subsumed hard clauses,
+then sweep variables that no longer occur anywhere.  Every step preserves
+the partition function:
 
     Z(original) = exp(log_weight) * Z(reduced)
 
@@ -16,28 +16,36 @@ identity above holds with Z computed on the reduced model alone.  The
 outcome also records the forced assignment and the surviving variables, so
 results on the reduced model can be mapped back: variable i of the reduced
 model is variables[i - 1] of the original.
+
+One pass reaches the fixpoint: after propagation every open hard clause
+keeps at least two unassigned literals, so nothing is left to force, and
+dropping subsumed hard clauses cannot let a new one subsume a soft clause.
+
+simplify works on the search's bare form (model.BareModel): clauses are
+frozensets of literals, a set of true literals is the assignment, and
+subsumption is <= on frozensets.  Given a validated PropMRF it converts at
+entry and returns a PropMRF model; given a bare model, as the search does,
+it returns a bare one.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .model import (
     Assignment,
-    Clause,
-    ClauseStatus,
+    BareModel,
     PropMRF,
-    SoftClause,
-    clause_status,
-    compact_model,
+    compact_bare,
+    from_bare,
+    to_bare,
 )
-from .sat import unit_propagate
 
 LN2 = math.log(2.0)
 
-_EMPTY = PropMRF(0)
+_EMPTY: BareModel = (0, (), ())
 
 
 class SimplifyStatus(enum.Enum):
@@ -48,97 +56,91 @@ class SimplifyStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SimplifyOutcome:
-    model: PropMRF
+    model: PropMRF | BareModel
     log_weight: float
     status: SimplifyStatus
     assignment: Assignment = field(default_factory=dict)
     variables: tuple[int, ...] = ()
 
 
-def _shrink(clause: Clause, assignment: Assignment) -> Clause:
-    """Drop literals made false by the assignment (none may be true)."""
-    return Clause(l for l in clause.literals if abs(l) not in assignment)
+def simplify(m: PropMRF | BareModel) -> SimplifyOutcome:
+    if isinstance(m, PropMRF):
+        out = simplify(to_bare(m))
+        return replace(out, model=from_bare(out.model))
+    num_vars, hard, soft = m
 
+    # Unit propagation to fixpoint over the hard clauses.
+    true: set[int] = set()
+    false: set[int] = set()
+    pending = hard
+    while pending:
+        open_: list = []
+        forced = False
+        for clause in pending:
+            if not true.isdisjoint(clause):
+                continue
+            rest = clause - false if not clause.isdisjoint(false) else clause
+            if len(rest) > 1:
+                open_.append(clause)
+            elif not rest:
+                return SimplifyOutcome(_EMPTY, float("-inf"), SimplifyStatus.ZERO)
+            else:
+                (lit,) = rest
+                true.add(lit)
+                false.add(-lit)
+                forced = True
+        pending = open_ if forced else ()
 
-def simplify(m: PropMRF) -> SimplifyOutcome:
+    if true:
+        reduced_hard = [
+            clause - false if not clause.isdisjoint(false) else clause
+            for clause in hard
+            if true.isdisjoint(clause)
+        ]
+    else:
+        reduced_hard = hard
+
     log_weight = 0.0
-    hard: list[Clause] = list(m.hard)
-    soft: list[SoftClause] = list(m.soft)
-    assignment: Assignment = {}
-
-    while True:
-        changed = False
-
-        prop = unit_propagate(hard, assignment)
-        if prop.conflict is not None:
-            return SimplifyOutcome(_EMPTY, float("-inf"), SimplifyStatus.ZERO)
-        if len(prop.assignment) != len(assignment):
-            changed = True
-        assignment = prop.assignment
-
-        new_hard: list[Clause] = []
-        for clause in hard:
-            status = clause_status(clause, assignment)
-            if status is ClauseStatus.SATISFIED:
-                changed = True
-                continue
-            reduced = _shrink(clause, assignment)
-            if len(reduced) != len(clause):
-                changed = True
-            new_hard.append(reduced)
-        hard = new_hard
-
-        new_soft: list[SoftClause] = []
-        for sc in soft:
-            status = clause_status(sc.clause, assignment)
-            if status is ClauseStatus.SATISFIED:
-                log_weight += sc.weight
-                changed = True
-                continue
-            if status is ClauseStatus.FALSIFIED:
-                changed = True
-                continue
-            reduced = _shrink(sc.clause, assignment)
-            if any(h.is_subclause_of(reduced) for h in hard):
-                log_weight += sc.weight
-                changed = True
-                continue
-            if len(reduced) != len(sc.clause):
-                changed = True
-            new_soft.append(SoftClause(reduced, sc.weight))
-        soft = new_soft
-
-        kept: list[Clause] = []
-        for clause in hard:
-            if any(k.is_subclause_of(clause) for k in kept):
-                changed = True
-                continue
-            survivors = [
-                k for k in kept if not (clause.is_subclause_of(k) and clause != k)
-            ]
-            if len(survivors) != len(kept):
-                changed = True
-            kept = survivors + [clause]
-        hard = kept
-
-        if not changed:
-            break
-
-    occurring: set[int] = set()
-    for clause in hard:
-        occurring.update(clause.variables)
+    reduced_soft = []
     for sc in soft:
-        occurring.update(sc.clause.variables)
-    for v in range(1, m.num_vars + 1):
-        if v not in assignment and v not in occurring:
-            log_weight += LN2
+        clause = sc[0]
+        if not true.isdisjoint(clause):
+            log_weight += sc[1]
+            continue
+        if not clause.isdisjoint(false):
+            clause = clause - false
+            sc = (clause, sc[1])
+        if not clause:
+            continue
+        for h in reduced_hard:
+            if h <= clause:
+                log_weight += sc[1]
+                break
+        else:
+            reduced_soft.append(sc)
 
-    if not hard and not soft:
+    kept: list = []
+    for clause in reduced_hard:
+        for k in kept:
+            if k <= clause:
+                break
+        else:
+            kept = [k for k in kept if not clause < k]
+            kept.append(clause)
+
+    literals = set().union(*kept, *[c for c, _ in reduced_soft])
+    occurring = {abs(lit) for lit in literals}
+    for _ in range(num_vars - len(true) - len(occurring)):
+        log_weight += LN2
+
+    assignment = {abs(lit): lit > 0 for lit in true}
+    if not literals:
         return SimplifyOutcome(_EMPTY, log_weight, SimplifyStatus.SCALAR, assignment)
+    variables = sorted(occurring)
     return SimplifyOutcome(
-        compact_model(tuple(hard), tuple(soft)),
+        compact_bare(kept, reduced_soft, variables),
         log_weight,
         SimplifyStatus.OPEN,
         assignment,
-        tuple(sorted(occurring)),
+        tuple(variables),
     )

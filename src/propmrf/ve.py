@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import minfill_width
-from .model import Clause, PropMRF
+from .model import BareClause, BareModel, Clause, PropMRF, to_bare
 
 LN2 = math.log(2.0)
 
@@ -49,11 +49,14 @@ class Factor:
     table: np.ndarray  # shape (2,) * len(scope), natural-log values
 
 
-def clause_to_factor(clause: Clause, log_sat: float, log_unsat: float) -> Factor:
-    scope = tuple(sorted(clause.variables))
+def clause_to_factor(
+    clause: Clause | BareClause, log_sat: float, log_unsat: float
+) -> Factor:
+    lits = tuple(clause)
+    scope = tuple(sorted(abs(l) for l in lits))
     size = len(scope)
     sat = np.zeros((2,) * size, dtype=bool)
-    for lit in clause.literals:
+    for lit in lits:
         axis = scope.index(abs(lit))
         shape = [1] * size
         shape[axis] = 2
@@ -62,17 +65,20 @@ def clause_to_factor(clause: Clause, log_sat: float, log_unsat: float) -> Factor
     return Factor(scope, table)
 
 
-def clauses_to_factors(m: PropMRF, max_width: int = 20) -> list[Factor]:
-    """One factor per clause, hard clauses first then soft, in declaration order."""
+def clauses_to_factors(m: PropMRF | BareModel, max_width: int = 20) -> list[Factor]:
+    """One factor per clause, hard clauses first then soft, in declaration order.
+
+    m may be a PropMRF or the search's bare form."""
+    _, hard, soft = to_bare(m)
     factors: list[Factor] = []
-    for clause in m.hard:
+    for clause in hard:
         if len(clause) > max_width:
             raise VeWidthError(len(clause), max_width)
         factors.append(clause_to_factor(clause, 0.0, float("-inf")))
-    for sc in m.soft:
-        if len(sc.clause) > max_width:
-            raise VeWidthError(len(sc.clause), max_width)
-        factors.append(clause_to_factor(sc.clause, sc.weight, 0.0))
+    for clause, weight in soft:
+        if len(clause) > max_width:
+            raise VeWidthError(len(clause), max_width)
+        factors.append(clause_to_factor(clause, weight, 0.0))
     return factors
 
 

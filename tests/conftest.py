@@ -2,7 +2,9 @@
 
 naive_log_z is a deliberately simple reference implementation used to check
 the vectorized brute-force oracle and, through it, everything else: it walks
-assignments one by one with no numpy and no shortcuts.
+assignments one by one with no numpy and no shortcuts.  It and
+naive_marginals sum potentials as a log-sum-exp shifted by the largest
+log weight, so weights of +-1e3 neither overflow nor underflow Z.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import numpy as np
 from propmrf import Clause, PropMRF, SoftClause
 
 
-def naive_log_z(m: PropMRF) -> float:
-    total = 0.0
+def _weighted_assignments(m: PropMRF) -> list[tuple[tuple[bool, ...], float]]:
+    """Every assignment satisfying the hard clauses, with its log weight."""
+    out = []
     for bits in itertools.product((False, True), repeat=m.num_vars):
         ok = True
         for clause in m.hard:
@@ -29,31 +32,33 @@ def naive_log_z(m: PropMRF) -> float:
         for sc in m.soft:
             if any((lit > 0) == bits[abs(lit) - 1] for lit in sc.clause.literals):
                 weight += sc.weight
-        total += math.exp(weight)
-    return math.log(total) if total > 0.0 else -math.inf
+        out.append((bits, weight))
+    return out
+
+
+def naive_log_z(m: PropMRF) -> float:
+    weighted = _weighted_assignments(m)
+    if not weighted:
+        return -math.inf
+    top = max(weight for _, weight in weighted)
+    total = 0.0
+    for _, weight in weighted:
+        total += math.exp(weight - top)
+    return top + math.log(total)
 
 
 def naive_marginals(m: PropMRF) -> np.ndarray:
+    weighted = _weighted_assignments(m)
+    top = max(weight for _, weight in weighted)
     z = 0.0
-    true_mass = np.zeros(m.num_vars)
-    for bits in itertools.product((False, True), repeat=m.num_vars):
-        if any(
-            not any((lit > 0) == bits[abs(lit) - 1] for lit in clause.literals)
-            for clause in m.hard
-        ):
-            continue
-        weight = math.exp(
-            sum(
-                sc.weight
-                for sc in m.soft
-                if any((lit > 0) == bits[abs(lit) - 1] for lit in sc.clause.literals)
-            )
-        )
-        z += weight
+    true_mass = [0.0] * m.num_vars
+    for bits, weight in weighted:
+        share = math.exp(weight - top)
+        z += share
         for v in range(m.num_vars):
             if bits[v]:
-                true_mass[v] += weight
-    return true_mass / z
+                true_mass[v] += share
+    return np.array(true_mass) / z
 
 
 def random_clause(rng: np.random.Generator, n: int, max_size: int = 3) -> Clause:

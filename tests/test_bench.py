@@ -8,6 +8,7 @@ from propmrf import (
     EnumerationTooLargeError,
     GenSpec,
     PropMRF,
+    SoftClause,
     brute_force_marginals,
     brute_force_z,
     gen_fs,
@@ -31,6 +32,29 @@ def test_brute_force_z_matches_naive_reference():
             assert got == -math.inf
         else:
             assert got == pytest.approx(expected, abs=1e-11)
+
+
+def test_naive_references_hold_at_extreme_weights():
+    # Weights of +-1e3 put exp(weight) outside float range; the references
+    # must still agree with the vectorized oracle.
+    rng = np.random.default_rng(8703)
+    checked = 0
+    for _ in range(60):
+        m = random_mixed_model(rng, max_vars=6, max_hard=2, max_soft=5)
+        soft = tuple(
+            SoftClause(sc.clause, float(rng.choice([-1e3, 1e3])) + sc.weight)
+            for sc in m.soft
+        )
+        m = PropMRF(m.num_vars, m.hard, soft)
+        expected = brute_force_z(m)
+        got = naive_log_z(m)
+        if expected == -math.inf:
+            assert got == -math.inf
+            continue
+        assert abs(got - expected) <= 1e-12
+        assert np.max(np.abs(naive_marginals(m) - brute_force_marginals(m))) <= 1e-12
+        checked += 1
+    assert checked > 40
 
 
 def test_brute_force_z_crosses_chunk_boundaries():

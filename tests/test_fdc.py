@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from propmrf import (
     exact_marginals,
     fdc_count,
     fdc_marginals,
+    gen_fs,
+    gen_random,
     minimal_search_space,
+    pick_evidence,
 )
 
 from conftest import calibration_model, naive_log_z, random_clause, random_mixed_model
@@ -267,3 +271,79 @@ def test_exact_marginals_reject_zero_partition_function():
     m = PropMRF.from_lists(1, hard=[[1], [-1]])
     with pytest.raises(ValueError):
         exact_marginals(m)
+
+
+# The search's counters and log Z, pinned from the Clause/PropMRF search that
+# the bare literal-set core replaced: the core must visit the same nodes and
+# leaves and hit the cache on the same keys.
+_PINNED_MODELS = {
+    "random(12,12,4,3)": lambda: gen_random(12, 12, 4, seed=3),
+    "random(16,16,5,7)": lambda: gen_random(16, 16, 5, seed=7),
+    "random(18,18,4,11)+ev": lambda: pick_evidence(
+        gen_random(18, 18, 4, seed=11), 0.1, seed=4
+    ),
+    # min-fill width 17: at threshold 16 it conditions once above VE
+    "random(18,40,7,0)": lambda: gen_random(18, 40, 7, seed=0),
+    "fs(3)": lambda: gen_fs(3),
+    "calibration": calibration_model,
+}
+
+# (name, mode, ve_width_threshold): (nodes, leaves, cache_hits, cache_entries, log Z)
+_PINNED_SEARCH = {
+    ("random(12,12,4,3)", "formula", 0): (48, 35, 29, 72, 9.023058713713148),
+    ("random(12,12,4,3)", "formula", 16): (0, 1, 0, 1, 9.023058713713148),
+    ("random(12,12,4,3)", "variable", 0): (31, 32, 13, 53, 9.023058713713148),
+    ("random(12,12,4,3)", "variable", 16): (0, 1, 0, 1, 9.023058713713148),
+    ("random(16,16,5,7)", "formula", 0): (329, 128, 330, 403, 10.222712519395524),
+    ("random(16,16,5,7)", "formula", 16): (0, 1, 0, 1, 10.222712519395525),
+    ("random(16,16,5,7)", "variable", 0): (153, 111, 124, 225, 10.222712519395524),
+    ("random(16,16,5,7)", "variable", 16): (0, 1, 0, 1, 10.222712519395525),
+    ("random(18,18,4,11)+ev", "formula", 0): (161, 79, 173, 202, 12.651012527268973),
+    ("random(18,18,4,11)+ev", "formula", 16): (0, 1, 0, 1, 12.651012527268973),
+    ("random(18,18,4,11)+ev", "variable", 0): (84, 69, 86, 119, 12.651012527268973),
+    ("random(18,18,4,11)+ev", "variable", 16): (0, 1, 0, 1, 12.651012527268973),
+    ("random(18,40,7,0)", "formula", 0): (1584, 600, 1373, 1917, 12.621476212921273),
+    ("random(18,40,7,0)", "formula", 16): (1, 2, 0, 3, 12.621476212921273),
+    ("random(18,40,7,0)", "variable", 0): (699, 473, 507, 996, 12.621476212921271),
+    ("random(18,40,7,0)", "variable", 16): (1, 2, 0, 3, 12.621476212921273),
+    ("fs(3)", "formula", 0): (6, 3, 13, 8, 10.887037092226597),
+    ("fs(3)", "formula", 16): (0, 1, 0, 1, 10.887037092226596),
+    ("fs(3)", "variable", 0): (6, 3, 13, 8, 10.887037092226597),
+    ("fs(3)", "variable", 16): (0, 1, 0, 1, 10.887037092226596),
+    ("calibration", "formula", 0): (3, 6, 1, 9, 8.00637703729538),
+    ("calibration", "formula", 16): (0, 1, 0, 1, 8.00637703729538),
+    ("calibration", "variable", 0): (7, 8, 4, 11, 8.00637703729538),
+    ("calibration", "variable", 16): (0, 1, 0, 1, 8.00637703729538),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_MODELS))
+def test_search_is_pinned(name):
+    m = _PINNED_MODELS[name]()
+    expected_marginals = brute_force_marginals(m)
+    for mode in (FORMULA, VARIABLE):
+        for threshold in (0, 16):
+            *counters, log_z = _PINNED_SEARCH[name, mode, threshold]
+            got = fdc_count(m, mode=mode, ve_width_threshold=threshold)
+            stats = got.stats
+            assert [stats.nodes, stats.leaves, stats.cache_hits, stats.cache_entries] == counters
+            assert abs(got.log_z - log_z) <= 1e-12
+            both = fdc_marginals(m, mode=mode, ve_width_threshold=threshold)
+            assert both.stats == stats
+            assert np.max(np.abs(both.marginals - expected_marginals)) <= 1e-12
+
+
+def test_search_restores_the_recursion_limit():
+    m = calibration_model()
+    tiny = PropMRF.from_lists(3, soft=[(0.5, [1, 2]), (0.2, [2, -3]), (0.1, [1, 3])])
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    try:
+        fdc_count(m, ve_width_threshold=0)
+        assert sys.getrecursionlimit() == 5000
+        fdc_marginals(m, ve_width_threshold=0)
+        assert sys.getrecursionlimit() == 5000
+        minimal_search_space(tiny, FORMULA)
+        assert sys.getrecursionlimit() == 5000
+    finally:
+        sys.setrecursionlimit(before)

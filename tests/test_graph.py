@@ -12,6 +12,7 @@ from propmrf import (
     minfill_width,
     primal_adjacency,
 )
+from propmrf.model import to_bare
 
 from conftest import random_mixed_model
 
@@ -61,6 +62,21 @@ def test_connected_components_split_and_compaction():
     first, second = components
     assert first.model == PropMRF.from_lists(3, hard=[[1, 2]], soft=[(0.5, [2, 3])])
     assert second.model == PropMRF.from_lists(2, soft=[(-0.2, [1, 2])])
+
+
+def test_single_component_renumbering_and_fast_path():
+    # An unused variable still forces renumbering.
+    (component,) = connected_components(PropMRF.from_lists(3, hard=[[1, 3]]))
+    assert component.variables == frozenset({1, 3})
+    assert component.model == PropMRF.from_lists(2, hard=[[1, 2]])
+    # An already compact single component comes back as it is.
+    compact = PropMRF.from_lists(3, hard=[[1, -3]], soft=[(0.5, [2, 3])])
+    (component,) = connected_components(compact)
+    assert component.variables == frozenset({1, 2, 3})
+    assert component.model == compact
+    bare = to_bare(compact)
+    (component,) = connected_components(bare)
+    assert component.model is bare
 
 
 def test_component_partition_functions_multiply():
