@@ -3,11 +3,27 @@ built from its output.
 
 The factor graph has one variable node per model variable and one factor per
 clause (hard and soft).  A soft clause factor takes value exp(w) when the
-clause is satisfied and 1 otherwise; a hard factor takes 1/0.  Messages are
-updated synchronously with damping until the largest change drops below the
-tolerance or the iteration cap is hit.  Hard-factor zeros stay exact zeros in
-message space; a variable whose belief normalizes to zero mass indicates
-contradictory hard constraints and raises an error naming it.
+clause is satisfied and 1 otherwise; when exp(w) is beyond float range it
+takes 1 and exp(-w) instead, which every normalized message ignores.  A hard
+factor takes 1/0.  Messages start uniform and are updated synchronously with
+damping, all variable-to-factor messages and then all factor-to-variable
+messages, until the largest change drops below the tolerance or the iteration
+cap is hit.  Hard-factor zeros stay exact zeros in message space; a variable
+whose belief normalizes to zero mass indicates contradictory hard constraints
+and raises an error naming it.
+
+run_bp compiles the graph once into flat arrays.  Edges are numbered
+factor-major (factors hard then soft, each scope ascending), and each
+direction's messages form one (edges, 2) array.  A (variable, slot) table
+lists each variable's edges in factor order, and the factor tables are
+stacked per arity, so one iteration is a fixed number of numpy operations
+set by the largest degree and the arities, not by the number of edges.  Each
+message still runs the float operations of a one-edge-at-a-time update, in
+the same order: a variable multiplies its incoming messages left to right,
+with a row of ones in the excluded slot, and a factor multiplies its table
+by the other axes' messages in scope order and sums those axes out one at a
+time in ascending order.  The first edge, in that numbering, whose message
+has no mass names the variable of the error.
 """
 
 from __future__ import annotations
@@ -20,6 +36,7 @@ import numpy as np
 
 from .model import Clause, PropMRF
 from .sat import unit_propagate
+from .ve import clause_truth_table
 
 _CLAMP = 1e-9
 
@@ -60,29 +77,100 @@ class BpMarginals:
     n_hard: int
     converged: bool
     iterations: int
+    final_delta: float | None = None  # largest message change in the last iteration
 
     def soft_factor(self, i: int) -> tuple[tuple[int, ...], np.ndarray]:
         return self.factor_scopes[self.n_hard + i], self.factor_tables[self.n_hard + i]
 
 
-def _clause_potential(clause: Clause, scope: tuple[int, ...], weight: float | None):
-    """Linear-space table: exp(weight)/1 for soft, 1/0 for hard (weight None)."""
-    size = len(scope)
-    sat = np.zeros((2,) * size, dtype=bool)
-    for lit in clause.literals:
-        axis = scope.index(abs(lit))
-        shape = [1] * size
-        shape[axis] = 2
-        sat |= np.array([lit < 0, lit > 0], dtype=bool).reshape(shape)
-    if weight is None:
-        return sat.astype(np.float64)
-    return np.where(sat, math.exp(weight), 1.0)
+def _soft_potential(sat: np.ndarray, weight: float) -> np.ndarray:
+    """exp(weight) where the clause holds and 1 elsewhere; when exp(weight) is
+    beyond float range, that table divided by exp(weight)."""
+    try:
+        return np.where(sat, math.exp(weight), 1.0)
+    except OverflowError:
+        return np.where(sat, 1.0, math.exp(-weight))
 
 
 def _axis_vector(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     shape = [1] * ndim
     shape[axis] = 2
     return vec.reshape(shape)
+
+
+def _edge_layout(
+    num_vars: int, scopes: Sequence[tuple[int, ...]], tables: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The factor graph as flat arrays, edges numbered factor-major.
+
+    Returns (edge_var, others, slots, groups).  edge_var[e] is the variable
+    of edge e.  slots[v - 1] lists v's edges in factor order, padded to the
+    largest degree with index n_edges, the ones row; others[e] is slots of
+    e's variable with e itself replaced by the ones row too.  Each group
+    holds the factors of one arity k >= 1: their edges, shape (count, k) in
+    scope order, and their tables stacked to shape (count,) + (2,) * k.
+    """
+    edge_var = np.array([v for scope in scopes for v in scope], dtype=np.intp)
+    n_edges = edge_var.size
+    degree = np.bincount(edge_var, minlength=num_vars + 1)[1:]
+    by_var = np.argsort(edge_var, kind="stable")
+    sorted_var = edge_var[by_var] - 1
+    rank = np.arange(n_edges) - (np.cumsum(degree) - degree)[sorted_var]
+    slots = np.full((num_vars, int(degree.max(initial=0))), n_edges, dtype=np.intp)
+    slots[sorted_var, rank] = by_var
+    others = slots[edge_var - 1]
+    others[others == np.arange(n_edges)[:, None]] = n_edges
+
+    first_edge = np.cumsum([0] + [len(scope) for scope in scopes])
+    groups = []
+    for k in sorted({len(scope) for scope in scopes} - {0}):
+        members = [fi for fi, scope in enumerate(scopes) if len(scope) == k]
+        groups.append(
+            (
+                first_edge[members][:, None] + np.arange(k),
+                np.stack([tables[fi] for fi in members]),
+            )
+        )
+    return edge_var, others, slots, groups
+
+
+def _factor_messages(edges: np.ndarray, stacked: np.ndarray, v2f: np.ndarray) -> np.ndarray:
+    """Unnormalized factor-to-variable messages for one arity group, shape
+    (count, k, 2): for each kept axis, the table times the incoming messages
+    of the other axes in scope order, summed over those axes in ascending
+    order."""
+    count, k = edges.shape
+    incoming = v2f[edges]
+    vectors = [
+        incoming[:, axis].reshape((count,) + (1,) * axis + (2,) + (1,) * (k - 1 - axis))
+        for axis in range(k)
+    ]
+    out = np.empty((count, k, 2))
+    for keep in range(k):
+        tensor = stacked
+        for axis in range(k):
+            if axis != keep:
+                tensor = tensor * vectors[axis]
+        for axis in range(k):
+            if axis != keep:
+                tensor = tensor.sum(axis=axis + 1, keepdims=True)
+        out[:, keep] = tensor.reshape(count, 2)
+    return out
+
+
+def _damped(old: np.ndarray, raw: np.ndarray, damping: float, edge_var: np.ndarray) -> np.ndarray:
+    """Normalize raw messages and blend them with the old ones; the first
+    edge whose message has no mass names the variable of the error."""
+    total = raw.sum(axis=1)
+    empty = np.flatnonzero(total <= 0.0)
+    if empty.size:
+        raise DegenerateBeliefError(int(edge_var[empty[0]]))
+    return damping * old + (1.0 - damping) * (raw / total[:, None])
+
+
+def _largest_change(new: np.ndarray, old: np.ndarray) -> float:
+    # fmax skips NaN, as a running max(delta, change) does
+    return float(np.fmax.reduce(np.abs(new - old).max(axis=1), initial=0.0))
 
 
 def run_bp(m: PropMRF, config: BpConfig = BpConfig()) -> BpMarginals:
@@ -94,76 +182,59 @@ def run_bp(m: PropMRF, config: BpConfig = BpConfig()) -> BpMarginals:
     scopes: list[tuple[int, ...]] = []
     tables: list[np.ndarray] = []
     for clause in m.hard:
-        scope = tuple(sorted(clause.variables))
+        scope, sat = clause_truth_table(clause)
         scopes.append(scope)
-        tables.append(_clause_potential(clause, scope, None))
+        tables.append(sat.astype(np.float64))
     for sc in m.soft:
-        scope = tuple(sorted(sc.clause.variables))
+        scope, sat = clause_truth_table(sc.clause)
         scopes.append(scope)
-        tables.append(_clause_potential(sc.clause, scope, sc.weight))
+        tables.append(_soft_potential(sat, sc.weight))
+    edge_var, others, slots, groups = _edge_layout(m.num_vars, scopes, tables)
+    n_edges = edge_var.size
 
-    neighbors: dict[int, list[int]] = {v: [] for v in range(1, m.num_vars + 1)}
-    for fi, scope in enumerate(scopes):
-        for v in scope:
-            neighbors[v].append(fi)
-
-    uniform = np.array([0.5, 0.5])
-    f2v = {(fi, v): uniform.copy() for fi, scope in enumerate(scopes) for v in scope}
-    v2f = {(v, fi): uniform.copy() for (fi, v) in f2v}
+    # row n_edges of f2v is the ones row behind excluded and padded slots
+    f2v = np.full((n_edges + 1, 2), 0.5)
+    f2v[n_edges] = 1.0
+    v2f = np.full((n_edges, 2), 0.5)
     d = config.damping
 
     converged = False
     iterations = 0
+    delta = None
     for iterations in range(1, config.max_iters + 1):
-        delta = 0.0
-        for (v, fi), old in v2f.items():
-            product = np.ones(2)
-            for fj in neighbors[v]:
-                if fj != fi:
-                    product = product * f2v[(fj, v)]
-            total = product.sum()
-            if total <= 0.0:
-                raise DegenerateBeliefError(v)
-            new = d * old + (1.0 - d) * (product / total)
-            delta = max(delta, float(np.max(np.abs(new - old))))
-            v2f[(v, fi)] = new
-        for (fi, v), old in f2v.items():
-            scope = scopes[fi]
-            tensor = tables[fi]
-            for axis, u in enumerate(scope):
-                if u != v:
-                    tensor = tensor * _axis_vector(v2f[(u, fi)], axis, len(scope))
-            keep = scope.index(v)
-            message = np.apply_over_axes(
-                np.sum, tensor, [a for a in range(len(scope)) if a != keep]
-            ).reshape(2)
-            total = message.sum()
-            if total <= 0.0:
-                raise DegenerateBeliefError(v)
-            new = d * old + (1.0 - d) * (message / total)
-            delta = max(delta, float(np.max(np.abs(new - old))))
-            f2v[(fi, v)] = new
+        product = np.ones((n_edges, 2))
+        for slot in others.T:
+            product = product * f2v[slot]
+        new_v2f = _damped(v2f, product, d, edge_var)
+        delta = _largest_change(new_v2f, v2f)
+        v2f = new_v2f
+
+        message = np.empty((n_edges, 2))
+        for edges, stacked in groups:
+            message[edges] = _factor_messages(edges, stacked, v2f)
+        new_f2v = _damped(f2v[:n_edges], message, d, edge_var)
+        delta = max(delta, _largest_change(new_f2v, f2v[:n_edges]))
+        f2v[:n_edges] = new_f2v
         if delta < config.tol:
             converged = True
             break
 
-    p_true = np.full(m.num_vars, 0.5)
-    for v in range(1, m.num_vars + 1):
-        if not neighbors[v]:
-            continue
-        belief = np.ones(2)
-        for fi in neighbors[v]:
-            belief = belief * f2v[(fi, v)]
-        total = belief.sum()
-        if total <= 0.0:
-            raise DegenerateBeliefError(v)
-        p_true[v - 1] = belief[1] / total
+    belief = np.ones((m.num_vars, 2))
+    for slot in slots.T:
+        belief = belief * f2v[slot]
+    total = belief.sum(axis=1)
+    empty = np.flatnonzero(total <= 0.0)
+    if empty.size:
+        raise DegenerateBeliefError(int(empty[0]) + 1)
+    p_true = belief[:, 1] / total
 
     factor_tables: list[np.ndarray] = []
+    edge = 0
     for fi, scope in enumerate(scopes):
-        tensor = tables[fi].copy()
-        for axis, u in enumerate(scope):
-            tensor = tensor * _axis_vector(v2f[(u, fi)], axis, len(scope))
+        tensor = tables[fi]
+        for axis in range(len(scope)):
+            tensor = tensor * _axis_vector(v2f[edge], axis, len(scope))
+            edge += 1
         total = tensor.sum()
         if total <= 0.0:
             raise DegenerateBeliefError(scope[0])
@@ -176,6 +247,7 @@ def run_bp(m: PropMRF, config: BpConfig = BpConfig()) -> BpMarginals:
         n_hard=len(m.hard),
         converged=converged,
         iterations=iterations,
+        final_delta=delta,
     )
 
 
@@ -221,12 +293,7 @@ def formula_proposal(
             pick = np.zeros(2, dtype=bool)
             pick[int(forced[v])] = True
             consistent &= _axis_vector(pick, axis, size)
-    sat = np.zeros((2,) * size, dtype=bool)
-    for lit in m.soft[i].clause.literals:
-        axis = scope.index(abs(lit))
-        shape = [1] * size
-        shape[axis] = 2
-        sat |= np.array([lit < 0, lit > 0], dtype=bool).reshape(shape)
+    _, sat = clause_truth_table(m.soft[i].clause)
 
     sat_mass = float(table[consistent & sat].sum())
     unsat_mass = float(table[consistent & ~sat].sum())

@@ -37,7 +37,7 @@ from .bench import (
     generate,
     sum_kld,
 )
-from .bp import BpConfig, DegenerateBeliefError
+from .bp import BpConfig, BpMarginals, DegenerateBeliefError
 from .fdc import (
     FORMULA,
     VARIABLE,
@@ -48,7 +48,9 @@ from .fdc import (
 )
 from .fis import (
     AllZeroWeightsError,
+    FisResult,
     NoConsistentSampleError,
+    VisResult,
     fis_marginals,
     run_fis,
     run_vis,
@@ -277,42 +279,51 @@ def _cmd_marginals(args: argparse.Namespace) -> dict:
     else:
         seed = _resolve_seed(args.seed)
         jobs = _resolve_jobs(args.jobs)
-        config = BpConfig(max_iters=args.bp_iters, damping=args.bp_damping)
+        result = _run_sampler(args, m, seed, jobs)
         if args.method == "fis":
-            result = run_fis(
-                m,
-                args.samples,
-                seed=seed,
-                bp_config=config,
-                h_order=_parse_h_order(args.h_order),
-                jobs=jobs,
-            )
             values = fis_marginals(result)
         else:
-            values = vis_marginals(run_vis(m, args.samples, seed=seed, bp_config=config))
+            values = vis_marginals(result)
         report["n_samples"] = args.samples
         report["seed"] = seed
         report["jobs"] = jobs
+        report["bp"] = _bp_block(args, result.bp)
     report["result"] = {"marginals": [float(x) for x in values]}
     return report
 
 
-def _cmd_sample(args: argparse.Namespace) -> dict:
-    m = _load_model(args.model)
-    seed = _resolve_seed(args.seed)
-    jobs = _resolve_jobs(args.jobs)
+def _run_sampler(
+    args: argparse.Namespace, m: PropMRF, seed: int, jobs: int
+) -> FisResult | VisResult:
     config = BpConfig(max_iters=args.bp_iters, damping=args.bp_damping)
     if args.method == "fis":
-        estimate = run_fis(
+        return run_fis(
             m,
             args.samples,
             seed=seed,
             bp_config=config,
             h_order=_parse_h_order(args.h_order),
             jobs=jobs,
-        ).estimate
-    else:
-        estimate = run_vis(m, args.samples, seed=seed, bp_config=config).estimate
+        )
+    return run_vis(m, args.samples, seed=seed, bp_config=config)
+
+
+def _bp_block(args: argparse.Namespace, bp: BpMarginals) -> dict:
+    return {
+        "max_iters": args.bp_iters,
+        "damping": args.bp_damping,
+        "iterations": bp.iterations,
+        "converged": bp.converged,
+        "final_delta": bp.final_delta,
+    }
+
+
+def _cmd_sample(args: argparse.Namespace) -> dict:
+    m = _load_model(args.model)
+    seed = _resolve_seed(args.seed)
+    jobs = _resolve_jobs(args.jobs)
+    result = _run_sampler(args, m, seed, jobs)
+    estimate = result.estimate
     return {
         "command": "sample",
         "model": _model_block(args.model, m),
@@ -320,7 +331,7 @@ def _cmd_sample(args: argparse.Namespace) -> dict:
         "n_samples": args.samples,
         "seed": seed,
         "jobs": jobs,
-        "bp": {"max_iters": args.bp_iters, "damping": args.bp_damping},
+        "bp": _bp_block(args, result.bp),
         "result": {
             "log_z_hat": estimate.log_z_hat,
             "z_hat": _linear(estimate.z_hat),

@@ -112,6 +112,7 @@ class FisResult:
     h_order: tuple[int, ...] | None
     samples: tuple[Sample, ...]
     estimate: Estimate
+    bp: BpMarginals | None = None  # the run behind the default proposal
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,7 @@ class VisResult:
     assignments: np.ndarray
     log_weights: np.ndarray
     estimate: Estimate
+    bp: BpMarginals | None = None  # the run behind the default proposal
 
 
 def estimate_from_log_weights(log_weights: np.ndarray) -> Estimate:
@@ -441,6 +443,7 @@ def run_fis(
         h_order=tuple(order),
         samples=samples,
         estimate=estimate_from_log_weights(log_weights),
+        bp=marginals,
     )
 
 
@@ -484,10 +487,12 @@ def run_vis(
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     _validate_sampling_model(m)
+    marginals: BpMarginals | None = None
     if q is None:
         if bp_config is None:
             bp_config = BpConfig()
-        q = variable_proposal(run_bp(m, bp_config))
+        marginals = run_bp(m, bp_config)
+        q = variable_proposal(marginals)
     else:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (m.num_vars,):
@@ -503,6 +508,7 @@ def run_vis(
         assignments=assignments,
         log_weights=log_weights,
         estimate=estimate_from_log_weights(log_weights),
+        bp=marginals,
     )
 
 

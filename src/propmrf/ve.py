@@ -49,18 +49,22 @@ class Factor:
     table: np.ndarray  # shape (2,) * len(scope), natural-log values
 
 
+def clause_truth_table(
+    clause: Clause | BareClause,
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The clause's scope (its variables, ascending) and its truth table: a
+    boolean array of shape (2,) * len(scope) indexed by the scope's values,
+    false only at the one row that falsifies every literal."""
+    lits = sorted(clause, key=abs)
+    table = np.ones((2,) * len(lits), dtype=bool)
+    table[tuple(int(lit < 0) for lit in lits)] = False
+    return tuple(abs(lit) for lit in lits), table
+
+
 def clause_to_factor(
     clause: Clause | BareClause, log_sat: float, log_unsat: float
 ) -> Factor:
-    lits = tuple(clause)
-    scope = tuple(sorted(abs(l) for l in lits))
-    size = len(scope)
-    sat = np.zeros((2,) * size, dtype=bool)
-    for lit in lits:
-        axis = scope.index(abs(lit))
-        shape = [1] * size
-        shape[axis] = 2
-        sat |= np.array([lit < 0, lit > 0], dtype=bool).reshape(shape)
+    scope, sat = clause_truth_table(clause)
     table = np.where(sat, np.float64(log_sat), np.float64(log_unsat))
     return Factor(scope, table)
 

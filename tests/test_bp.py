@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,11 +9,14 @@ from propmrf import (
     DegenerateBeliefError,
     PropMRF,
     formula_proposal,
+    gen_qmr,
+    gen_random,
+    pick_evidence,
     run_bp,
     variable_proposal,
 )
 
-from conftest import naive_marginals
+from conftest import naive_marginals, random_mixed_model
 
 
 def test_single_soft_unit_is_a_sigmoid():
@@ -166,3 +170,174 @@ def test_formula_proposal_stays_inside_the_open_interval():
         for i in range(len(m.soft)):
             p = formula_proposal(m, marginals, [], i)
             assert 1e-9 <= p <= 1.0 - 1e-9
+
+
+def test_weight_beyond_exp_range_does_not_overflow():
+    # exp(750) overflows a float and exp(-750) underflows to 0, so the soft
+    # clause acts exactly like the same clause declared hard
+    big = PropMRF.from_lists(2, soft=[(750.0, [1, 2]), (0.5, [-1])])
+    hard = PropMRF.from_lists(2, hard=[[1, 2]], soft=[(0.5, [-1])])
+    assert np.array_equal(run_bp(big).variable_p_true, run_bp(hard).variable_p_true)
+    # exp(-720) is subnormal but not 0; the graph is a tree, so BP is exact
+    m = PropMRF.from_lists(2, soft=[(720.0, [1, 2]), (0.5, [-1])])
+    marginals = run_bp(m, BpConfig(max_iters=5000, tol=1e-12))
+    assert marginals.converged
+    assert np.max(np.abs(marginals.variable_p_true - naive_marginals(m))) < 1e-6
+    for table in marginals.factor_tables:
+        assert np.all(np.isfinite(table))
+
+
+def _bp_digest(marginals) -> tuple[str, int, bool]:
+    h = hashlib.sha256()
+    for x in marginals.variable_p_true:
+        h.update(float(x).hex().encode() + b",")
+    for table in marginals.factor_tables:
+        h.update(b"|")
+        for x in np.ravel(table):
+            h.update(float(x).hex().encode() + b",")
+    return h.hexdigest()[:16], marginals.iterations, marginals.converged
+
+
+# Values computed by a one-edge-at-a-time message loop; run_bp performs the
+# same float operations in the same order, so every bit must agree.
+_PINNED_MIXED = [
+    (("66f1e78fd5cd54a7", 24, True), ("0941cc217ecc3b56", 2, True)),
+    (("fbf50313d2a2fa34", 34, True), ("2917e9027f7d31ad", 12, True)),
+    (("d7173247ac790be9", 49, True), ("bc4db3a3bb773a3b", 20, True)),
+    (("007d5d025e73121b", 32, True), ("1d856d652f49f5c4", 3, True)),
+    (("f5ce2061bf4f1b2d", 24, True), ("99f3c976708d2e64", 2, True)),
+    (("f61a3b4ffaa1fa54", 43, True), ("f24d9a1ed75da9a3", 16, True)),
+    (("d8909285b95c6a7a", 26, True), ("01ab5669d788c37e", 2, True)),
+    (("319d0e77643ee15a", 47, True), ("c375fa0b0a1109f2", 14, True)),
+    (("66259de9f7178716", 53, True), ("71bb718d74b4db9d", 25, True)),
+    (("903d4281e2210606", 33, True), ("095ea13ff6d477d0", 3, True)),
+    (("4412adadba5a74b0", 43, True), ("16a5645e51e2812c", 18, True)),
+    (("23487097faecafe4", 33, True), ("3c29f105ccba0f6e", 4, True)),
+]
+
+
+def test_bp_is_pinned():
+    evidence = pick_evidence(gen_random(20, 20, 5, seed=901), 0.05)
+    assert _bp_digest(run_bp(evidence)) == ("d02e88fb74e256a1", 34, True)
+    assert _bp_digest(run_bp(evidence, BpConfig(max_iters=5))) == (
+        "6dd40329764b5ec8", 5, False,
+    )
+    qmr = gen_qmr(15, 15, 7, seed=1002)
+    assert _bp_digest(run_bp(qmr)) == ("dc2c571db0e4b946", 30, True)
+    assert _bp_digest(run_bp(qmr, BpConfig(damping=0.0, max_iters=5))) == (
+        "deeb970c168ea244", 5, False,
+    )
+
+    rng = np.random.default_rng(9101)
+    for damped, undamped in _PINNED_MIXED:
+        m = random_mixed_model(rng)
+        assert _bp_digest(run_bp(m, BpConfig(damping=0.5))) == damped
+        assert _bp_digest(run_bp(m, BpConfig(damping=0.0))) == undamped
+
+    # the first message without mass, in factor-major edge order, names the
+    # variable
+    rng = np.random.default_rng(9201)
+    models = [
+        random_mixed_model(rng, max_vars=8, max_hard=5, max_soft=4)
+        for _ in range(204)
+    ]
+    # Variables 1 and 2 lose all mass in the same pass.  In the first model
+    # variable-to-factor messages empty, and variable 2's edge comes first;
+    # in the second only the final beliefs empty, and variable 1 comes first.
+    models.append(
+        PropMRF.from_lists(
+            4, hard=[[2], [-2], [1], [-1]], soft=[(0.3, [2, 3]), (0.3, [1, 4])]
+        )
+    )
+    models.append(PropMRF.from_lists(2, hard=[[2], [-2], [1], [-1]]))
+    for index, var in ((18, 1), (54, 2), (84, 3), (203, 4), (204, 2), (205, 1)):
+        with pytest.raises(DegenerateBeliefError) as err:
+            run_bp(models[index], BpConfig(damping=0.0))
+        assert err.value.var == var
+
+
+def _per_edge_bp(m: PropMRF, config: BpConfig) -> tuple[np.ndarray, list, int, bool]:
+    """Reference: the same schedule as one message update per edge."""
+    scopes, tables = [], []
+    for weight, clause in [(None, c) for c in m.hard] + [
+        (sc.weight, sc.clause) for sc in m.soft
+    ]:
+        scope = tuple(sorted(clause.variables))
+        sat = np.zeros((2,) * len(scope), dtype=bool)
+        for index in np.ndindex(sat.shape):
+            sat[index] = any(
+                index[scope.index(abs(lit))] == (lit > 0) for lit in clause.literals
+            )
+        scopes.append(scope)
+        tables.append(
+            sat.astype(float) if weight is None else np.where(sat, math.exp(weight), 1.0)
+        )
+    neighbors = {v: [fi for fi, s in enumerate(scopes) if v in s] for v in range(1, m.num_vars + 1)}
+
+    def along(vec, axis, ndim):
+        return vec.reshape([2 if a == axis else 1 for a in range(ndim)])
+
+    f2v = {(fi, v): np.full(2, 0.5) for fi, s in enumerate(scopes) for v in s}
+    v2f = {(v, fi): np.full(2, 0.5) for (fi, v) in f2v}
+    d = config.damping
+    converged = False
+    for iterations in range(1, config.max_iters + 1):
+        delta = 0.0
+        for (v, fi), old in v2f.items():
+            product = np.ones(2)
+            for fj in neighbors[v]:
+                if fj != fi:
+                    product = product * f2v[(fj, v)]
+            if product.sum() <= 0.0:
+                raise DegenerateBeliefError(v)
+            v2f[(v, fi)] = d * old + (1.0 - d) * (product / product.sum())
+            delta = max(delta, float(np.max(np.abs(v2f[(v, fi)] - old))))
+        for (fi, v), old in f2v.items():
+            tensor = tables[fi]
+            for axis, u in enumerate(scopes[fi]):
+                if u != v:
+                    tensor = tensor * along(v2f[(u, fi)], axis, len(scopes[fi]))
+            keep = scopes[fi].index(v)
+            others = [a for a in range(len(scopes[fi])) if a != keep]
+            message = np.apply_over_axes(np.sum, tensor, others).reshape(2)
+            if message.sum() <= 0.0:
+                raise DegenerateBeliefError(v)
+            f2v[(fi, v)] = d * old + (1.0 - d) * (message / message.sum())
+            delta = max(delta, float(np.max(np.abs(f2v[(fi, v)] - old))))
+        if delta < config.tol:
+            converged = True
+            break
+    p_true = np.full(m.num_vars, 0.5)
+    for v, factors in neighbors.items():
+        belief = np.ones(2)
+        for fi in factors:
+            belief = belief * f2v[(fi, v)]
+        if factors:
+            if belief.sum() <= 0.0:
+                raise DegenerateBeliefError(v)
+            p_true[v - 1] = belief[1] / belief.sum()
+    joint = []
+    for fi, scope in enumerate(scopes):
+        tensor = tables[fi]
+        for axis, u in enumerate(scope):
+            tensor = tensor * along(v2f[(u, fi)], axis, len(scope))
+        joint.append(tensor / tensor.sum())
+    return p_true, joint, iterations, converged
+
+
+def test_matches_the_per_edge_reference_bit_for_bit():
+    rng = np.random.default_rng(9301)
+    for _ in range(60):
+        m = random_mixed_model(rng, max_vars=7, max_hard=3, max_soft=5, max_size=4)
+        for config in (BpConfig(), BpConfig(damping=0.0), BpConfig(max_iters=4)):
+            try:
+                expected = _per_edge_bp(m, config)
+            except DegenerateBeliefError as err:
+                with pytest.raises(DegenerateBeliefError) as got:
+                    run_bp(m, config)
+                assert got.value.var == err.var
+                continue
+            got = run_bp(m, config)
+            assert np.array_equal(got.variable_p_true, expected[0])
+            assert all(np.array_equal(a, b) for a, b in zip(got.factor_tables, expected[1]))
+            assert (got.iterations, got.converged) == expected[2:]

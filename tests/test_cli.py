@@ -393,3 +393,31 @@ def test_bad_bp_damping_exits_2(soft_model_file, capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_weight_beyond_exp_range_samples_and_marginals_exit_0(tmp_path, capsys):
+    path = tmp_path / "huge.pmrf"
+    path.write_text("p pmrf 2\ns 750 1 2 0\ns 0.5 -1 0\n")
+    report = run_json(
+        ["sample", str(path), "--method", "vis", "--samples", "200"], capsys
+    )
+    assert math.isfinite(report["result"]["log_z_hat"])
+    report = run_json(
+        ["marginals", str(path), "--method", "fis", "--samples", "200"], capsys
+    )
+    assert np.all(np.isfinite(report["result"]["marginals"]))
+
+
+def test_bp_convergence_is_reported(soft_model_file, capsys):
+    path, _ = soft_model_file
+    for command in ("sample", "marginals"):
+        for method in ("fis", "vis"):
+            argv = [command, path, "--method", method, "--samples", "50"]
+            bp = run_json(argv, capsys)["bp"]
+            assert bp["converged"] is True
+            assert 1 <= bp["iterations"] <= bp["max_iters"] == 1000
+            assert bp["final_delta"] < 1e-8
+            bp = run_json(argv + ["--bp-iters", "1"], capsys)["bp"]
+            assert bp["converged"] is False
+            assert bp["iterations"] == bp["max_iters"] == 1
+            assert bp["final_delta"] > 0.0
