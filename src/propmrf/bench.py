@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -158,6 +158,23 @@ def _log_sum_exp(values: np.ndarray) -> float:
     return peak + math.log(float(np.sum(np.exp(values - peak))))
 
 
+def _weighted_chunks(m: PropMRF) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every assignment in chunks of (bitmask codes, log potentials), with
+    -inf at the codes that violate a hard clause."""
+    size = 1 << m.num_vars
+    chunk = min(size, 1 << 16)
+    for lo in range(0, size, chunk):
+        codes = np.arange(lo, min(lo + chunk, size), dtype=np.uint64)
+        valid = np.ones(codes.shape, dtype=bool)
+        for clause in m.hard:
+            valid &= _clause_sat_mask(codes, clause)
+        log_w = np.zeros(codes.shape)
+        for sc in m.soft:
+            log_w += np.where(_clause_sat_mask(codes, sc.clause), sc.weight, 0.0)
+        log_w[~valid] = -math.inf
+        yield codes, log_w
+
+
 def brute_force_z(m: PropMRF) -> float:
     """log Z by summing the potential of every assignment.
 
@@ -170,17 +187,7 @@ def brute_force_z(m: PropMRF) -> float:
             f"at most {MAX_ENUMERATION_VARS} variables are supported"
         )
     total = -math.inf
-    size = 1 << m.num_vars
-    chunk = min(size, 1 << 16)
-    for lo in range(0, size, chunk):
-        codes = np.arange(lo, min(lo + chunk, size), dtype=np.uint64)
-        valid = np.ones(codes.shape, dtype=bool)
-        for clause in m.hard:
-            valid &= _clause_sat_mask(codes, clause)
-        log_w = np.zeros(codes.shape)
-        for sc in m.soft:
-            log_w += np.where(_clause_sat_mask(codes, sc.clause), sc.weight, 0.0)
-        log_w[~valid] = -math.inf
+    for _, log_w in _weighted_chunks(m):
         part = _log_sum_exp(log_w)
         if part != -math.inf:
             total = part if total == -math.inf else float(np.logaddexp(total, part))
@@ -193,17 +200,7 @@ def brute_force_marginals(m: PropMRF) -> np.ndarray:
     if log_z == -math.inf:
         raise ValueError("all assignments have zero weight; marginals undefined")
     marginals = np.zeros(m.num_vars)
-    size = 1 << m.num_vars
-    chunk = min(size, 1 << 16)
-    for lo in range(0, size, chunk):
-        codes = np.arange(lo, min(lo + chunk, size), dtype=np.uint64)
-        valid = np.ones(codes.shape, dtype=bool)
-        for clause in m.hard:
-            valid &= _clause_sat_mask(codes, clause)
-        log_w = np.zeros(codes.shape)
-        for sc in m.soft:
-            log_w += np.where(_clause_sat_mask(codes, sc.clause), sc.weight, 0.0)
-        log_w[~valid] = -math.inf
+    for codes, log_w in _weighted_chunks(m):
         prob = np.exp(log_w - log_z)
         for v in range(1, m.num_vars + 1):
             bit = (codes >> np.uint64(v - 1)) & np.uint64(1)

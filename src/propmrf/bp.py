@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Clause, PropMRF
+from .model import PropMRF
 from .sat import unit_propagate
 from .ve import clause_truth_table
 
@@ -42,10 +42,15 @@ _CLAMP = 1e-9
 
 
 class DegenerateBeliefError(RuntimeError):
-    def __init__(self, var: int):
-        super().__init__(
-            f"variable {var} has an all-zero belief under the hard constraints"
-        )
+    """A belief without mass; var names its variable, or is None when the
+    culprit is an empty hard clause."""
+
+    def __init__(self, var: int | None):
+        if var is None:
+            message = "an empty hard clause leaves its factor belief without mass"
+        else:
+            message = f"variable {var} has an all-zero belief under the hard constraints"
+        super().__init__(message)
         self.var = var
 
 
@@ -237,7 +242,7 @@ def run_bp(m: PropMRF, config: BpConfig = BpConfig()) -> BpMarginals:
             edge += 1
         total = tensor.sum()
         if total <= 0.0:
-            raise DegenerateBeliefError(scope[0])
+            raise DegenerateBeliefError(scope[0] if scope else None)
         factor_tables.append(tensor / total)
 
     return BpMarginals(
@@ -267,33 +272,35 @@ def formula_proposal(
 
     The prefix lists (soft clause index, value) pairs already decided: a true
     clause joins the constraint set whole, a false one contributes the
-    negations of its literals.  The constraint set is unit propagated; rows of
-    clause i's factor belief that contradict a forced literal are excluded,
-    and the result is the satisfied mass over the total restricted mass.
-    Both masses zero (or a propagation conflict) yields 0.5; otherwise the
-    value is clamped to keep both branches possible.
+    negations of its literals.  The constraint set is built from the clauses'
+    literal sets, in the bare form of model.BareClause, and unit propagated
+    by sat.unit_propagate; rows of clause i's factor belief that contradict
+    a forced literal are excluded, and the result is the satisfied mass over
+    the total restricted mass.  Both masses zero (or a propagation conflict)
+    yields 0.5; otherwise the value is clamped to keep both branches
+    possible.
     """
-    constraints: list[Clause] = list(m.hard)
+    constraints = [c.literals for c in m.hard]
     for j, value in h_prefix:
-        clause = m.soft[j].clause
+        clause = m.soft[j].clause.literals
         if value:
             constraints.append(clause)
         else:
-            constraints.extend(Clause([-l]) for l in clause.sorted_literals())
-    result = unit_propagate(constraints)
-    if result.conflict is not None:
+            constraints.extend(frozenset((-l,)) for l in clause)
+    forced = unit_propagate(constraints)
+    if forced is None:
         return 0.5
-    forced = result.assignment
+    true = forced[0]
 
     scope, table = marginals.soft_factor(i)
     size = len(scope)
     consistent = np.ones((2,) * size, dtype=bool)
     for axis, v in enumerate(scope):
-        if v in forced:
+        if v in true or -v in true:
             pick = np.zeros(2, dtype=bool)
-            pick[int(forced[v])] = True
+            pick[int(v in true)] = True
             consistent &= _axis_vector(pick, axis, size)
-    _, sat = clause_truth_table(m.soft[i].clause)
+    _, sat = clause_truth_table(m.soft[i].clause.literals)
 
     sat_mass = float(table[consistent & sat].sum())
     unsat_mass = float(table[consistent & ~sat].sum())

@@ -22,6 +22,8 @@ identical submodels met on different branches are solved once.
 fdc_count, fdc_marginals and minimal_search_space take a validated PropMRF
 and convert it once to the bare form of model.BareModel: a clause is the
 frozenset of its literals and a model is a (num_vars, hard, soft) tuple.
+fdc_count and fdc_marginals also take a bare model built from validated
+clauses, which is how the formula sampler hands over its counting models.
 Every clause the search derives is a subset or an injective renaming of a
 validated one, so nothing inside is validated again.  The layer steps
 (simplify, connected_components, canonical_key, choose_branch_clause,
@@ -259,7 +261,7 @@ def _recursion_room() -> Iterator[None]:
 
 
 def _search(
-    m: PropMRF,
+    m: PropMRF | BareModel,
     mode: str,
     use_cache: bool,
     ve_width_threshold: int,
@@ -367,7 +369,7 @@ def _search(
 
 
 def fdc_count(
-    m: PropMRF,
+    m: PropMRF | BareModel,
     mode: str = FORMULA,
     use_cache: bool = True,
     ve_width_threshold: int = 16,
@@ -382,7 +384,7 @@ def fdc_count(
 
 
 def fdc_marginals(
-    m: PropMRF,
+    m: PropMRF | BareModel,
     mode: str = FORMULA,
     use_cache: bool = True,
     ve_width_threshold: int = 16,

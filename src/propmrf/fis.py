@@ -13,6 +13,15 @@ where qb is the probability the sampling process assigned to the draw (the
 product of the branch probabilities actually used at free steps).  Averaging
 the estimates over independent draws is unbiased for the partition function.
 
+The formula sampler takes a validated PropMRF and converts its clauses once
+to the bare form of model.BareClause (frozensets of literals).  Below that
+entry nothing builds Clause or PropMRF objects: the satisfiability checks
+(sat.is_satisfiable), the unit propagation behind the belief propagation
+proposal (sat.unit_propagate) and the hard-only counting models handed to
+fdc_count and fdc_marginals all read bare clauses.  A counting model lists
+the hard clauses, then per step the step's clause if it was drawn true or
+the negations of its literals, in literal_key order, if false.
+
 The variable sampler draws each variable independently from a per-variable
 Bernoulli proposal and weights assignments by potential over proposal mass;
 assignments violating a hard clause get weight zero.
@@ -29,7 +38,7 @@ import numpy as np
 
 from .bp import BpConfig, BpMarginals, formula_proposal, run_bp, variable_proposal
 from .fdc import FORMULA, InstanceTooLargeError, fdc_count, fdc_marginals
-from .model import Clause, PropMRF
+from .model import BareClause, BareModel, Clause, PropMRF, literal_key
 from .sat import is_satisfiable, unit_propagate  # noqa: F401  (perfbench traces this name)
 
 _CLAMP = 1e-9
@@ -109,7 +118,7 @@ class Estimate:
 class FisResult:
     model: PropMRF
     h_clauses: tuple[Clause, ...]
-    h_order: tuple[int, ...] | None
+    h_order: tuple[int, ...]
     samples: tuple[Sample, ...]
     estimate: Estimate
     bp: BpMarginals | None = None  # the run behind the default proposal
@@ -148,48 +157,42 @@ def estimate_from_log_weights(log_weights: np.ndarray) -> Estimate:
     return Estimate(log_z_hat, n, variance, std_error)
 
 
-def _negated_units(clause: Clause) -> list[Clause]:
-    return [Clause([-lit]) for lit in clause.sorted_literals()]
-
-
 class _FormulaSampler:
     """Shared machinery for drawing and enumerating formula assignments.
 
-    Satisfiability tests, free-step proposal values, and solution counts are
-    cached per (step, prefix bitmask) so repeated draws of the same prefix
-    cost one SAT/count call.
+    Everything below the entry works on bare clauses (model.BareClause):
+    m.hard, each step's clause and the negated units a false step adds are
+    converted once here, and the SAT checks and counting models are built
+    from them.  Satisfiability tests, free-step proposal values, and
+    solution counts are cached per (step, prefix bitmask) so repeated draws
+    of the same prefix cost one SAT/count call.
     """
 
-    def __init__(
-        self,
-        m: PropMRF,
-        h_clauses: Sequence[Clause],
-        proposal: Proposal,
-        soft_steps: Sequence[int] | None,
-        ve_width_threshold: int = 16,
-    ):
+    def __init__(self, m: PropMRF, soft_steps: Sequence[int], proposal: Proposal):
         self.m = m
-        self.h = list(h_clauses)
         self.proposal = proposal
-        self.soft_steps = None if soft_steps is None else list(soft_steps)
-        self.ve_width_threshold = ve_width_threshold
+        self.soft_steps = list(soft_steps)
+        self.hard = [c.literals for c in m.hard]
+        # Per step, indexed by its value: the negation of each literal in
+        # literal_key order when false, the clause itself when true.
+        self._extensions = []
+        for j in self.soft_steps:
+            clause = m.soft[j].clause.literals
+            units = tuple(frozenset((-l,)) for l in sorted(clause, key=literal_key))
+            self._extensions.append((units, (clause,)))
         self._sat_cache: dict[tuple[int, int, bool], bool] = {}
         self._prop_cache: dict[tuple[int, int], float] = {}
         self._count_cache: dict[int, float] = {}
         self._soft_weight_cache: dict[int, float] = {}
 
     def _branch_sat(
-        self, pos: int, bits: int, value: bool, constraints: list[Clause]
+        self, pos: int, bits: int, value: bool, constraints: list[BareClause]
     ) -> bool:
         key = (pos, bits, value)
         cached = self._sat_cache.get(key)
         if cached is not None:
             return cached
-        if value:
-            trial = constraints + [self.h[pos]]
-        else:
-            trial = constraints + _negated_units(self.h[pos])
-        ok = is_satisfiable(trial)
+        ok = is_satisfiable([*constraints, *self._extensions[pos][value]])
         self._sat_cache[key] = ok
         return ok
 
@@ -203,39 +206,45 @@ class _FormulaSampler:
         self._prop_cache[key] = p
         return p
 
-    def _extend(self, constraints: list[Clause], pos: int, value: bool) -> None:
-        if value:
-            constraints.append(self.h[pos])
-        else:
-            constraints.extend(_negated_units(self.h[pos]))
+    def _branches(
+        self, pos: int, bits: int, values: list[bool], constraints: list[BareClause]
+    ) -> tuple[tuple[bool, float], ...]:
+        """The values step pos can take after the prefix, each with its
+        probability: both by the proposal when both extensions are
+        satisfiable, else the satisfiable one with probability one."""
+        sat_true = self._branch_sat(pos, bits, True, constraints)
+        sat_false = self._branch_sat(pos, bits, False, constraints)
+        if sat_true and sat_false:
+            p = self._proposal_at(pos, bits, values)
+            return (True, p), (False, 1.0 - p)
+        if sat_true:
+            return ((True, 1.0),)
+        if sat_false:
+            return ((False, 1.0),)
+        raise NoConsistentSampleError(
+            "both extensions of a satisfiable prefix are unsatisfiable"
+        )
 
-    def constraints_for(self, values: Sequence[bool]) -> list[Clause]:
-        constraints = list(self.m.hard)
+    def counting_model(self, values: Sequence[bool]) -> BareModel:
+        """The hard-only model whose solutions complete the formula assignment."""
+        hard = list(self.hard)
         for pos, value in enumerate(values):
-            self._extend(constraints, pos, value)
-        return constraints
+            hard.extend(self._extensions[pos][value])
+        return (self.m.num_vars, tuple(hard), ())
 
     def draw(self, rng: np.random.Generator) -> tuple[list[bool], float]:
         values: list[bool] = []
         bits = 0
         qb = 1.0
-        constraints = list(self.m.hard)
-        for pos in range(len(self.h)):
-            sat_true = self._branch_sat(pos, bits, True, constraints)
-            sat_false = self._branch_sat(pos, bits, False, constraints)
-            if sat_true and sat_false:
-                p = self._proposal_at(pos, bits, values)
-                value = bool(rng.random() < p)
-                qb *= p if value else 1.0 - p
-            elif sat_true:
-                value = True
-            elif sat_false:
-                value = False
+        constraints = list(self.hard)
+        for pos in range(len(self._extensions)):
+            branches = self._branches(pos, bits, values, constraints)
+            if len(branches) == 2 and rng.random() >= branches[0][1]:
+                value, p = branches[1]
             else:
-                raise NoConsistentSampleError(
-                    "both extensions of a satisfiable prefix are unsatisfiable"
-                )
-            self._extend(constraints, pos, value)
+                value, p = branches[0]
+            qb *= p
+            constraints.extend(self._extensions[pos][value])
             if value:
                 bits |= 1 << pos
             values.append(value)
@@ -246,35 +255,20 @@ class _FormulaSampler:
         cached = self._count_cache.get(bits)
         if cached is not None:
             return cached
-        counting = PropMRF(
-            num_vars=self.m.num_vars,
-            hard=tuple(self.constraints_for(values)),
-            soft=(),
-        )
-        result = fdc_count(
-            counting, mode=FORMULA, ve_width_threshold=self.ve_width_threshold
-        )
-        self._count_cache[bits] = result.log_z
-        return result.log_z
+        log_z = fdc_count(self.counting_model(values), mode=FORMULA).log_z
+        self._count_cache[bits] = log_z
+        return log_z
 
     def log_soft_weight(self, values: Sequence[bool]) -> float:
         bits = _pack(values)
         cached = self._soft_weight_cache.get(bits)
         if cached is not None:
             return cached
-        if self.soft_steps is not None:
-            total = sum(
-                self.m.soft[self.soft_steps[pos]].weight
-                for pos, value in enumerate(values)
-                if value
-            )
-        else:
-            constraints = self.constraints_for(values)
-            total = 0.0
-            for sc in self.m.soft:
-                falsifier = constraints + _negated_units(sc.clause)
-                if not is_satisfiable(falsifier):
-                    total += sc.weight
+        total = sum(
+            self.m.soft[self.soft_steps[pos]].weight
+            for pos, value in enumerate(values)
+            if value
+        )
         self._soft_weight_cache[bits] = total
         return total
 
@@ -290,35 +284,20 @@ class _FormulaSampler:
         samples: list[Sample] = []
 
         def walk(pos: int, bits: int, values: list[bool], qb: float,
-                 constraints: list[Clause]) -> None:
-            if pos == len(self.h):
+                 constraints: list[BareClause]) -> None:
+            if pos == len(self._extensions):
                 samples.append(self.finish(values, qb))
                 return
-            sat_true = self._branch_sat(pos, bits, True, constraints)
-            sat_false = self._branch_sat(pos, bits, False, constraints)
-            if sat_true and sat_false:
-                p = self._proposal_at(pos, bits, values)
-                branches = [(True, qb * p), (False, qb * (1.0 - p))]
-            elif sat_true:
-                branches = [(True, qb)]
-            elif sat_false:
-                branches = [(False, qb)]
-            else:
-                raise NoConsistentSampleError(
-                    "both extensions of a satisfiable prefix are unsatisfiable"
-                )
-            for value, branch_qb in branches:
-                extended = list(constraints)
-                self._extend(extended, pos, value)
+            for value, p in self._branches(pos, bits, values, constraints):
                 walk(
                     pos + 1,
                     bits | (1 << pos) if value else bits,
                     values + [value],
-                    branch_qb,
-                    extended,
+                    qb * p,
+                    [*constraints, *self._extensions[pos][value]],
                 )
 
-        walk(0, 0, [], 1.0, list(self.m.hard))
+        walk(0, 0, [], 1.0, list(self.hard))
         return samples
 
 
@@ -348,7 +327,7 @@ def _validate_sampling_model(m: PropMRF) -> None:
             f"sampling requires exact solution counts; {m.num_vars} variables "
             f"exceeds the supported maximum of {MAX_SAMPLING_VARS}"
         )
-    if not is_satisfiable(list(m.hard)):
+    if not is_satisfiable([c.literals for c in m.hard]):
         raise NoConsistentSampleError("the hard clauses are unsatisfiable")
 
 
@@ -364,15 +343,8 @@ def _resolve_h_order(m: PropMRF, h_order: Sequence[int] | None) -> list[int]:
 
 
 def _fis_chunk(args) -> list[tuple[list[bool], float]]:
-    m, h_order, marginals, n_samples, seed_seq, ve_width_threshold = args
-    soft_steps = list(h_order)
-    sampler = _FormulaSampler(
-        m,
-        [m.soft[j].clause for j in soft_steps],
-        _bp_formula_proposal(m, marginals, soft_steps),
-        soft_steps,
-        ve_width_threshold,
-    )
+    m, h_order, marginals, n_samples, seed_seq = args
+    sampler = _FormulaSampler(m, h_order, _bp_formula_proposal(m, marginals, h_order))
     rng = np.random.default_rng(seed_seq)
     return [sampler.draw(rng) for _ in range(n_samples)]
 
@@ -385,7 +357,6 @@ def run_fis(
     h_order: Sequence[int] | None = None,
     jobs: int = 1,
     proposal: Proposal | None = None,
-    ve_width_threshold: int = 16,
 ) -> FisResult:
     """Draw n_samples formula assignments and estimate Z.
 
@@ -403,7 +374,6 @@ def run_fis(
         raise ValueError("jobs must be positive")
     _validate_sampling_model(m)
     order = _resolve_h_order(m, h_order)
-    h_clauses = [m.soft[j].clause for j in order]
 
     if proposal is not None and jobs > 1:
         raise ValueError("a custom proposal cannot be used with jobs > 1")
@@ -415,7 +385,7 @@ def run_fis(
         marginals = run_bp(m, bp_config)
         proposal = _bp_formula_proposal(m, marginals, order)
 
-    sampler = _FormulaSampler(m, h_clauses, proposal, order, ve_width_threshold)
+    sampler = _FormulaSampler(m, order, proposal)
 
     draws: list[tuple[list[bool], float]] = []
     if jobs == 1:
@@ -427,7 +397,7 @@ def run_fis(
         base, extra = divmod(n_samples, jobs)
         counts = [base + (1 if k < extra else 0) for k in range(jobs)]
         tasks = [
-            (m, tuple(order), marginals, counts[k], seqs[k], ve_width_threshold)
+            (m, tuple(order), marginals, counts[k], seqs[k])
             for k in range(jobs)
             if counts[k] > 0
         ]
@@ -439,7 +409,7 @@ def run_fis(
     log_weights = np.array([s.log_estimate for s in samples])
     return FisResult(
         model=m,
-        h_clauses=tuple(h_clauses),
+        h_clauses=tuple(m.soft[j].clause for j in order),
         h_order=tuple(order),
         samples=samples,
         estimate=estimate_from_log_weights(log_weights),
@@ -512,25 +482,6 @@ def run_vis(
     )
 
 
-def estimate_z(
-    m: PropMRF,
-    method: str = "fis",
-    n_samples: int = 1000,
-    seed: int = 0,
-    bp_config: BpConfig | None = None,
-    h_order: Sequence[int] | None = None,
-    jobs: int = 1,
-) -> Estimate:
-    if method == "fis":
-        return run_fis(
-            m, n_samples, seed=seed, bp_config=bp_config,
-            h_order=h_order, jobs=jobs,
-        ).estimate
-    if method == "vis":
-        return run_vis(m, n_samples, seed=seed, bp_config=bp_config).estimate
-    raise ValueError(f"unknown sampling method: {method!r}")
-
-
 def enumerate_formula_assignments(
     m: PropMRF,
     proposal: Proposal | None = None,
@@ -545,13 +496,12 @@ def enumerate_formula_assignments(
     """
     _validate_sampling_model(m)
     order = _resolve_h_order(m, h_order)
-    h_clauses = [m.soft[j].clause for j in order]
     if proposal is None:
         if bp_config is None:
             bp_config = BpConfig()
         marginals = run_bp(m, bp_config)
         proposal = _bp_formula_proposal(m, marginals, order)
-    sampler = _FormulaSampler(m, h_clauses, proposal, order)
+    sampler = _FormulaSampler(m, order, proposal)
     return sampler.enumerate()
 
 
@@ -617,7 +567,7 @@ def u_from_q(
     return UFormulaDistribution(masses=masses, kappa=kappa)
 
 
-def fis_marginals(result: FisResult, ve_width_threshold: int = 16) -> np.ndarray:
+def fis_marginals(result: FisResult) -> np.ndarray:
     """Self-normalized estimate of P(v = true) for every variable.
 
     Each sample contributes its importance weight times the exact fraction of
@@ -631,13 +581,7 @@ def fis_marginals(result: FisResult, ve_width_threshold: int = 16) -> np.ndarray
         raise AllZeroWeightsError("all formula samples have zero weight")
     weights = np.exp(log_weights - shift)
 
-    sampler = _FormulaSampler(
-        m,
-        list(result.h_clauses),
-        lambda pos, values: 0.5,
-        list(result.h_order) if result.h_order is not None else None,
-        ve_width_threshold,
-    )
+    sampler = _FormulaSampler(m, result.h_order, lambda pos, values: 0.5)
     ratio_cache: dict[int, np.ndarray] = {}
     total_weight = 0.0
     accum = np.zeros(m.num_vars)
@@ -648,14 +592,8 @@ def fis_marginals(result: FisResult, ve_width_threshold: int = 16) -> np.ndarray
         if ratios is None:
             ratios = np.zeros(m.num_vars)
             if sample.log_count != -math.inf:
-                counting = PropMRF(
-                    num_vars=m.num_vars,
-                    hard=tuple(sampler.constraints_for(values)),
-                    soft=(),
-                )
-                ratios = fdc_marginals(
-                    counting, mode=FORMULA, ve_width_threshold=ve_width_threshold
-                ).marginals
+                counting = sampler.counting_model(values)
+                ratios = fdc_marginals(counting, mode=FORMULA).marginals
             ratio_cache[bits] = ratios
         total_weight += weight
         accum += weight * ratios
@@ -674,11 +612,3 @@ def vis_marginals(result: VisResult) -> np.ndarray:
     total = float(weights.sum())
     marginals = weights @ result.assignments / total
     return np.clip(marginals, 0.0, 1.0)
-
-
-def marginals_from_samples(result) -> np.ndarray:
-    if isinstance(result, FisResult):
-        return fis_marginals(result)
-    if isinstance(result, VisResult):
-        return vis_marginals(result)
-    raise TypeError("expected a FisResult or VisResult")

@@ -15,22 +15,22 @@ Model file format::
     # comment ('c' also starts a comment)
     p pmrf <num_vars>
     h <lit> <lit> ... 0          one hard clause per line
-    s <weight> <lit> ... 0       one soft clause per line
+    s <weight> <lit> ... 0       one soft clause per line; the weight is finite
 
 Query file format: zero or more ``<lit> ... 0`` lines, each one clause of the
 query conjunction.
 
-The exact search runs on a bare form of the model (BareModel: frozensets of
-literals in a plain tuple) that to_bare builds once from a validated PropMRF;
-from_bare converts back, validating again.
+The exact search and the formula sampler run on a bare form of the model
+(BareModel: frozensets of literals in a plain tuple) that to_bare builds
+once from a validated PropMRF; from_bare converts back, validating again.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Literal = int
 Assignment = dict[int, bool]
@@ -39,12 +39,6 @@ Assignment = dict[int, bool]
 def literal_key(lit: Literal) -> tuple[int, bool]:
     """Sort key placing literals in variable order, positive before negative."""
     return (abs(lit), lit < 0)
-
-
-class ClauseStatus(enum.Enum):
-    SATISFIED = "satisfied"
-    FALSIFIED = "falsified"
-    UNDETERMINED = "undetermined"
 
 
 class ModelFormatError(ValueError):
@@ -106,9 +100,6 @@ class Clause:
     def __contains__(self, lit: int) -> bool:
         return lit in self.literals
 
-    def is_subclause_of(self, other: "Clause") -> bool:
-        return self.literals <= other.literals
-
     def __repr__(self) -> str:
         return f"Clause({list(self.sorted_literals())})"
 
@@ -165,18 +156,6 @@ class PropMRF:
             tuple(Clause(lits) for lits in hard),
             tuple(SoftClause(Clause(lits), float(w)) for w, lits in soft),
         )
-
-
-def clause_status(clause: Clause, assignment: Mapping[int, bool]) -> ClauseStatus:
-    """Evaluate a clause under a (possibly partial) assignment."""
-    undetermined = False
-    for lit in clause.literals:
-        value = assignment.get(abs(lit))
-        if value is None:
-            undetermined = True
-        elif value == (lit > 0):
-            return ClauseStatus.SATISFIED
-    return ClauseStatus.UNDETERMINED if undetermined else ClauseStatus.FALSIFIED
 
 
 def conjoin_query(m: PropMRF, query: Sequence[Clause]) -> PropMRF:
@@ -268,6 +247,10 @@ def parse_model(text: str) -> PropMRF:
                 raise MalformedLineError(
                     line_no, f"bad weight token {tokens[1]!r}"
                 ) from None
+            if not math.isfinite(weight):
+                raise MalformedLineError(
+                    line_no, f"soft clause weight {tokens[1]!r} is not finite"
+                )
             clause = _parse_clause_tokens(tokens[2:], line_no, num_vars)
             soft.append(SoftClause(clause, weight))
         else:

@@ -1,85 +1,71 @@
 """Unit propagation and a small chronological-backtracking DPLL solver.
 
-Propagation visits clauses in declaration order and reports the first
-falsified clause it sees.  The solver branches on the lowest-index unassigned
-variable, trying true first; both rules are fixed so that runs are
-deterministic.  Clause learning is deliberately out of scope: the inputs this
-package feeds the solver are small.
+Both work on bare clauses (model.BareClause): frozensets of DIMACS literals,
+which must not be tautologies.  unit_propagate is the package's one
+propagator; simplify, the solver below and the formula proposal all call it.
+The solver branches on the lowest-index unassigned variable, trying true
+first, and keeps its open branches on an explicit stack, so its depth is not
+bounded by Python's recursion limit.  Clause learning is deliberately out of
+scope: the inputs this package feeds the solver are small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .model import Assignment, Clause, ClauseStatus, clause_status
-
-
-@dataclass
-class PropagationResult:
-    assignment: Assignment
-    conflict: Clause | None
-
-    @property
-    def ok(self) -> bool:
-        return self.conflict is None
+from .model import BareClause
 
 
 def unit_propagate(
-    clauses: Sequence[Clause], assignment: Mapping[int, bool] | None = None
-) -> PropagationResult:
-    """Extend the assignment with all forced literals, to fixpoint.
+    clauses: Sequence[BareClause],
+) -> tuple[set[int], set[int]] | None:
+    """The literals that unit propagation forces, to fixpoint.
 
-    Returns the extended assignment and the first falsified clause found, if
-    any (the assignment then reflects the state at detection time).
+    Returns (true, false): the forced literals and their negations, or None
+    when some clause is falsified.  The fixpoint, and whether a conflict is
+    reached, do not depend on the order in which clauses are visited.
     """
-    a: Assignment = dict(assignment) if assignment else {}
-    changed = True
-    while changed:
-        changed = False
-        for clause in clauses:
-            unassigned: int | None = None
-            n_unassigned = 0
-            satisfied = False
-            for lit in clause.literals:
-                value = a.get(abs(lit))
-                if value is None:
-                    n_unassigned += 1
-                    unassigned = lit
-                elif value == (lit > 0):
-                    satisfied = True
-                    break
-            if satisfied:
+    true: set[int] = set()
+    false: set[int] = set()
+    pending = clauses
+    while pending:
+        open_: list[BareClause] = []
+        forced = False
+        for clause in pending:
+            if not true.isdisjoint(clause):
                 continue
-            if n_unassigned == 0:
-                return PropagationResult(a, clause)
-            if n_unassigned == 1:
-                assert unassigned is not None
-                a[abs(unassigned)] = unassigned > 0
-                changed = True
-    return PropagationResult(a, None)
+            rest = clause - false if not clause.isdisjoint(false) else clause
+            if len(rest) > 1:
+                open_.append(clause)
+            elif not rest:
+                return None
+            else:
+                (lit,) = rest
+                true.add(lit)
+                false.add(-lit)
+                forced = True
+        pending = open_ if forced else ()
+    return true, false
 
 
-def is_satisfiable(
-    clauses: Sequence[Clause], assignment: Mapping[int, bool] | None = None
-) -> bool:
-    """DPLL satisfiability of a clause conjunction under a partial assignment."""
-    result = unit_propagate(clauses, assignment)
-    if result.conflict is not None:
-        return False
-    a = result.assignment
-    open_vars: set[int] = set()
-    for clause in clauses:
-        if clause_status(clause, a) is ClauseStatus.UNDETERMINED:
-            for lit in clause.literals:
-                if abs(lit) not in a:
-                    open_vars.add(abs(lit))
-    if not open_vars:
-        return True
-    branch_var = min(open_vars)
-    for value in (True, False):
-        trial = dict(a)
-        trial[branch_var] = value
-        if is_satisfiable(clauses, trial):
+def is_satisfiable(clauses: Sequence[BareClause]) -> bool:
+    """DPLL satisfiability of a clause conjunction.
+
+    Each open branch is the residual formula of its parent (clauses not yet
+    satisfied, with false literals removed) behind the branch's decision
+    literal as a unit clause.
+    """
+    stack: list[Sequence[BareClause]] = [clauses]
+    while stack:
+        formula = stack.pop()
+        forced = unit_propagate(formula)
+        if forced is None:
+            continue
+        true, false = forced
+        residual = [c - false for c in formula if true.isdisjoint(c)]
+        if not residual:
             return True
+        var = min(abs(lit) for c in residual for lit in c)
+        stack.append([frozenset((-var,)), *residual])
+        stack.append([frozenset((var,)), *residual])
     return False

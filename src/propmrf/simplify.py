@@ -23,9 +23,10 @@ dropping subsumed hard clauses cannot let a new one subsume a soft clause.
 
 simplify works on the search's bare form (model.BareModel): clauses are
 frozensets of literals, a set of true literals is the assignment, and
-subsumption is <= on frozensets.  Given a validated PropMRF it converts at
-entry and returns a PropMRF model; given a bare model, as the search does,
-it returns a bare one.
+subsumption is <= on frozensets.  Propagation is sat.unit_propagate, the
+propagator the SAT solver and the formula proposal share.  Given a
+validated PropMRF simplify converts at entry and returns a PropMRF model;
+given a bare model, as the search does, it returns a bare one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .model import (
     from_bare,
     to_bare,
 )
+from .sat import unit_propagate
 
 LN2 = math.log(2.0)
 
@@ -69,27 +71,10 @@ def simplify(m: PropMRF | BareModel) -> SimplifyOutcome:
         return replace(out, model=from_bare(out.model))
     num_vars, hard, soft = m
 
-    # Unit propagation to fixpoint over the hard clauses.
-    true: set[int] = set()
-    false: set[int] = set()
-    pending = hard
-    while pending:
-        open_: list = []
-        forced = False
-        for clause in pending:
-            if not true.isdisjoint(clause):
-                continue
-            rest = clause - false if not clause.isdisjoint(false) else clause
-            if len(rest) > 1:
-                open_.append(clause)
-            elif not rest:
-                return SimplifyOutcome(_EMPTY, float("-inf"), SimplifyStatus.ZERO)
-            else:
-                (lit,) = rest
-                true.add(lit)
-                false.add(-lit)
-                forced = True
-        pending = open_ if forced else ()
+    forced = unit_propagate(hard)
+    if forced is None:
+        return SimplifyOutcome(_EMPTY, float("-inf"), SimplifyStatus.ZERO)
+    true, false = forced
 
     if true:
         reduced_hard = [

@@ -256,7 +256,7 @@ def _sampling_instance(rng, max_vars: int = 8) -> PropMRF:
         )
         if rng.random() < 0.4:
             m = pick_evidence(m, 0.15, seed=int(rng.integers(2**31)))
-        if m.soft and is_satisfiable(m.hard):
+        if m.soft and is_satisfiable([c.literals for c in m.hard]):
             return m
 
 
@@ -341,7 +341,7 @@ def test_criterion_08_backtrack_freeness(capsys):
                 [int(v) if s else -int(v) for v, s in zip(variables, signs)]
             )
             m = PropMRF(m.num_vars, m.hard + (extra,), m.soft)
-            if is_satisfiable(m.hard):
+            if is_satisfiable([c.literals for c in m.hard]):
                 break
         result = run_fis(m, 1000, seed=i)
         for sample in result.samples:

@@ -341,3 +341,10 @@ def test_matches_the_per_edge_reference_bit_for_bit():
             assert np.array_equal(got.variable_p_true, expected[0])
             assert all(np.array_equal(a, b) for a, b in zip(got.factor_tables, expected[1]))
             assert (got.iterations, got.converged) == expected[2:]
+
+
+def test_empty_hard_clause_raises_a_degenerate_belief():
+    m = PropMRF.from_lists(2, hard=[[]], soft=[(0.5, [1, 2])])
+    with pytest.raises(DegenerateBeliefError, match="empty hard clause") as err:
+        run_bp(m)
+    assert err.value.var is None

@@ -346,6 +346,15 @@ def test_malformed_model_exits_4(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_non_finite_weight_exits_4(tmp_path, capsys):
+    for weight in ("inf", "nan"):
+        path = tmp_path / f"{weight}.pmrf"
+        path.write_text(f"p pmrf 2\ns {weight} 1 2 0\n")
+        code, _, err = run_cli(["count", str(path)], capsys)
+        assert code == 4
+        assert "line 2" in err
+
+
 def test_resource_limits_exit_5(tmp_path, capsys):
     wide = tmp_path / "wide.pmrf"
     wide.write_text(write_model(PropMRF(25)))

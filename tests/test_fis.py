@@ -18,10 +18,8 @@ from propmrf import (
     brute_force_marginals,
     brute_force_z,
     enumerate_formula_assignments,
-    estimate_z,
     fis_marginals,
     gen_random,
-    marginals_from_samples,
     run_fis,
     run_vis,
     sum_kld,
@@ -242,10 +240,6 @@ def test_estimates_concentrate_on_the_true_value():
     assert abs(fis.log_z_hat - z) < 0.1
     vis = run_vis(m, 8000, seed=0).estimate
     assert abs(vis.log_z_hat - z) < 0.1
-    assert estimate_z(m, "fis", 50, seed=1) == run_fis(m, 50, seed=1).estimate
-    assert estimate_z(m, "vis", 50, seed=1) == run_vis(m, 50, seed=1).estimate
-    with pytest.raises(ValueError):
-        estimate_z(m, "gibbs", 10)
 
 
 def test_fis_marginals_match_enumeration_weighted_average():
@@ -267,17 +261,6 @@ def test_vis_marginals_self_normalize():
     exact = brute_force_marginals(m)
     assert np.all((got >= 0.0) & (got <= 1.0))
     assert sum_kld(exact, got) < 0.1
-
-
-def test_marginals_from_samples_dispatch():
-    rng = np.random.default_rng(8611)
-    m = sampling_model(rng, max_vars=5, max_soft=3)
-    fis = run_fis(m, 50, seed=0)
-    vis = run_vis(m, 50, seed=0)
-    assert np.array_equal(marginals_from_samples(fis), fis_marginals(fis))
-    assert np.array_equal(marginals_from_samples(vis), vis_marginals(vis))
-    with pytest.raises(TypeError):
-        marginals_from_samples("neither")
 
 
 def test_all_zero_weights_detected():

@@ -11,14 +11,13 @@ from propmrf import (
     PropMRF,
     SoftClause,
     TautologyError,
-    clause_status,
     conjoin_query,
     model_fingerprint,
     parse_model,
     parse_query,
     write_model,
 )
-from propmrf.model import ClauseStatus, compact_model, literal_key
+from propmrf.model import compact_model, literal_key
 
 
 def test_literal_key_orders_by_variable_then_sign():
@@ -48,21 +47,6 @@ def test_clause_rejects_zero_and_tautology():
 
 def test_empty_clause_is_allowed():
     assert len(Clause([])) == 0
-
-
-def test_subclause_relation():
-    assert Clause([1, 2]).is_subclause_of(Clause([1, 2, -3]))
-    assert not Clause([1, 2]).is_subclause_of(Clause([1, -2, 3]))
-    assert Clause([]).is_subclause_of(Clause([5]))
-
-
-def test_clause_status_partial_assignments():
-    c = Clause([1, -2])
-    assert clause_status(c, {1: True}) is ClauseStatus.SATISFIED
-    assert clause_status(c, {2: False}) is ClauseStatus.SATISFIED
-    assert clause_status(c, {1: False}) is ClauseStatus.UNDETERMINED
-    assert clause_status(c, {1: False, 2: True}) is ClauseStatus.FALSIFIED
-    assert clause_status(c, {}) is ClauseStatus.UNDETERMINED
 
 
 def test_propmrf_validates_literal_range():
@@ -145,6 +129,13 @@ def test_parse_model_errors_name_line_numbers():
         parse_model("p pmrf 2\np pmrf 2\n")
     with pytest.raises(MalformedLineError):
         parse_model("")
+
+
+@pytest.mark.parametrize("weight", ["inf", "-inf", "nan"])
+def test_parse_model_rejects_non_finite_weights(weight):
+    with pytest.raises(MalformedLineError) as err:
+        parse_model(f"p pmrf 2\ns {weight} 1 2 0\n")
+    assert err.value.line_no == 2
 
 
 def test_parse_model_errors_are_value_errors():

@@ -1,61 +1,52 @@
 import itertools
+import sys
 
 import numpy as np
 
-from propmrf import Clause
 from propmrf.sat import is_satisfiable, unit_propagate
 
 from conftest import random_clause
 
 
+def bare(*clauses):
+    return [frozenset(c) for c in clauses]
+
+
 def brute_satisfiable(clauses, n):
     for bits in itertools.product((False, True), repeat=n):
-        if all(
-            any((lit > 0) == bits[abs(lit) - 1] for lit in c.literals)
-            for c in clauses
-        ):
+        if all(any((lit > 0) == bits[abs(lit) - 1] for lit in c) for c in clauses):
             return True
     return False
 
 
 def test_unit_propagation_chain():
-    clauses = [Clause([1]), Clause([-1, 2]), Clause([-2, 3])]
-    result = unit_propagate(clauses)
-    assert result.ok
-    assert result.assignment == {1: True, 2: True, 3: True}
+    assert unit_propagate(bare([1], [-1, 2], [-2, 3])) == ({1, 2, 3}, {-1, -2, -3})
+    # the fixpoint does not depend on the clause order
+    assert unit_propagate(bare([-2, 3], [-1, 2], [1])) == ({1, 2, 3}, {-1, -2, -3})
 
 
-def test_unit_propagation_reports_first_falsified_clause():
-    clauses = [Clause([1]), Clause([2]), Clause([-1, -2])]
-    result = unit_propagate(clauses)
-    assert not result.ok
-    assert result.conflict == Clause([-1, -2])
-
-
-def test_unit_propagation_respects_seed_assignment():
-    clauses = [Clause([-1, 2])]
-    result = unit_propagate(clauses, {1: True})
-    assert result.ok
-    assert result.assignment == {1: True, 2: True}
+def test_unit_propagation_reports_a_conflict():
+    assert unit_propagate(bare([1], [2], [-1, -2])) is None
+    assert unit_propagate(bare([-1, -2], [2], [1])) is None
 
 
 def test_unit_propagation_leaves_wide_clauses_alone():
-    result = unit_propagate([Clause([1, 2, 3])])
-    assert result.ok
-    assert result.assignment == {}
+    assert unit_propagate(bare([1, 2, 3])) == (set(), set())
+    assert unit_propagate([]) == (set(), set())
 
 
 def test_is_satisfiable_simple_cases():
     assert is_satisfiable([])
-    assert is_satisfiable([Clause([1, 2]), Clause([-1, -2])])
-    assert not is_satisfiable([Clause([1]), Clause([-1])])
-    assert not is_satisfiable([Clause([])])
+    assert is_satisfiable(bare([1, 2], [-1, -2]))
+    assert not is_satisfiable(bare([1], [-1]))
+    assert not is_satisfiable(bare([]))
+    assert not is_satisfiable(bare([1, 2], []))
 
 
 def test_is_satisfiable_under_partial_assignment():
-    clauses = [Clause([1, 2])]
-    assert is_satisfiable(clauses, {1: False})
-    assert not is_satisfiable(clauses, {1: False, 2: False})
+    # a partial assignment enters as unit clauses
+    assert is_satisfiable(bare([-1], [1, 2]))
+    assert not is_satisfiable(bare([-1], [-2], [1, 2]))
 
 
 def test_is_satisfiable_matches_enumeration():
@@ -63,6 +54,19 @@ def test_is_satisfiable_matches_enumeration():
     for _ in range(300):
         n = int(rng.integers(1, 6))
         clauses = [
-            random_clause(rng, n) for _ in range(int(rng.integers(0, 7)))
+            random_clause(rng, n).literals for _ in range(int(rng.integers(0, 7)))
         ]
         assert is_satisfiable(clauses) == brute_satisfiable(clauses, n)
+
+
+def test_is_satisfiable_does_not_recurse():
+    # 300 independent binary clauses need 300 nested decisions
+    clauses = bare(*([2 * i + 1, 2 * i + 2] for i in range(300)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert is_satisfiable(clauses)
+        assert not is_satisfiable(clauses + bare([-599], [-600]))
+    finally:
+        sys.setrecursionlimit(limit)
+
