@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
 from .model import PropMRF
-from .sat import unit_propagate
 from .ve import clause_truth_table
 
 _CLAMP = 1e-9
@@ -265,45 +264,31 @@ def variable_proposal(marginals: BpMarginals) -> np.ndarray:
 def formula_proposal(
     m: PropMRF,
     marginals: BpMarginals,
-    h_prefix: Sequence[tuple[int, bool]],
+    forced_true: AbstractSet[int],
     i: int,
 ) -> float:
-    """Probability that soft clause i is satisfied, given earlier clause values.
+    """Probability that soft clause i is satisfied, given the literals that
+    earlier clause values force.
 
-    The prefix lists (soft clause index, value) pairs already decided: a true
-    clause joins the constraint set whole, a false one contributes the
-    negations of its literals.  The constraint set is built from the clauses'
-    literal sets, in the bare form of model.BareClause, and unit propagated
-    by sat.unit_propagate; rows of clause i's factor belief that contradict
-    a forced literal are excluded, and the result is the satisfied mass over
-    the total restricted mass.  Both masses zero (or a propagation conflict)
-    yields 0.5; otherwise the value is clamped to keep both branches
-    possible.
+    forced_true holds the literals that unit propagation of the hard clauses
+    and the decided clause values makes true; the formula sampler keeps it
+    per prefix.  Rows of clause i's factor belief that contradict a forced
+    literal are excluded, and the result is the satisfied mass over the
+    total restricted mass.  Both masses zero yields 0.5; otherwise the value
+    is clamped to keep both branches possible.
     """
-    constraints = [c.literals for c in m.hard]
-    for j, value in h_prefix:
-        clause = m.soft[j].clause.literals
-        if value:
-            constraints.append(clause)
-        else:
-            constraints.extend(frozenset((-l,)) for l in clause)
-    forced = unit_propagate(constraints)
-    if forced is None:
-        return 0.5
-    true = forced[0]
-
     scope, table = marginals.soft_factor(i)
-    size = len(scope)
-    consistent = np.ones((2,) * size, dtype=bool)
-    for axis, v in enumerate(scope):
-        if v in true or -v in true:
-            pick = np.zeros(2, dtype=bool)
-            pick[int(v in true)] = True
-            consistent &= _axis_vector(pick, axis, size)
     _, sat = clause_truth_table(m.soft[i].clause.literals)
+    # Fix each forced axis at its value; the trailing Ellipsis keeps a fully
+    # forced scope a 0-d array, so the masks below still select rows.
+    rows = tuple(
+        1 if v in forced_true else 0 if -v in forced_true else slice(None)
+        for v in scope
+    ) + (Ellipsis,)
+    table, sat = table[rows], sat[rows]
 
-    sat_mass = float(table[consistent & sat].sum())
-    unsat_mass = float(table[consistent & ~sat].sum())
+    sat_mass = float(table[sat].sum())
+    unsat_mass = float(table[~sat].sum())
     total = sat_mass + unsat_mass
     if total <= 0.0:
         return 0.5

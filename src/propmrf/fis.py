@@ -14,13 +14,14 @@ product of the branch probabilities actually used at free steps).  Averaging
 the estimates over independent draws is unbiased for the partition function.
 
 The formula sampler takes a validated PropMRF and converts its clauses once
-to the bare form of model.BareClause (frozensets of literals).  Below that
-entry nothing builds Clause or PropMRF objects: the satisfiability checks
-(sat.is_satisfiable), the unit propagation behind the belief propagation
-proposal (sat.unit_propagate) and the hard-only counting models handed to
-fdc_count and fdc_marginals all read bare clauses.  A counting model lists
-the hard clauses, then per step the step's clause if it was drawn true or
-the negations of its literals, in literal_key order, if false.
+to the bare form of model.BareClause (frozensets of literals).  Its draws
+share a prefix tree (see _FormulaSampler): each prefix is unit propagated
+once (sat.unit_propagate), and both the SAT checks of the next step
+(sat.is_satisfiable) and the belief propagation proposal start from that
+state, not from the hard clauses.  The hard-only counting models handed to
+fdc_count and fdc_marginals list the hard clauses, then per step the step's
+clause if it was drawn true or the negations of its literals, in
+literal_key order, if false.
 
 The variable sampler draws each variable independently from a per-variable
 Bernoulli proposal and weights assignments by potential over proposal mass;
@@ -39,7 +40,7 @@ import numpy as np
 from .bp import BpConfig, BpMarginals, formula_proposal, run_bp, variable_proposal
 from .fdc import FORMULA, InstanceTooLargeError, fdc_count, fdc_marginals
 from .model import BareClause, BareModel, Clause, PropMRF, literal_key
-from .sat import is_satisfiable, unit_propagate  # noqa: F401  (perfbench traces this name)
+from .sat import is_satisfiable, unit_propagate
 
 _CLAMP = 1e-9
 
@@ -157,18 +158,84 @@ def estimate_from_log_weights(log_weights: np.ndarray) -> Estimate:
     return Estimate(log_z_hat, n, variance, std_error)
 
 
-class _FormulaSampler:
-    """Shared machinery for drawing and enumerating formula assignments.
+def _residual(
+    clauses: Sequence[BareClause], true: set[int], false: set[int]
+) -> list[BareClause]:
+    """The clauses that true leaves open, with the literals of false removed."""
+    return [
+        c - false if not c.isdisjoint(false) else c
+        for c in clauses
+        if true.isdisjoint(c)
+    ]
 
-    Everything below the entry works on bare clauses (model.BareClause):
-    m.hard, each step's clause and the negated units a false step adds are
-    converted once here, and the SAT checks and counting models are built
-    from them.  Satisfiability tests, free-step proposal values, and
-    solution counts are cached per (step, prefix bitmask) so repeated draws
-    of the same prefix cost one SAT/count call.
+
+_State = tuple[set[int], set[int], list[BareClause]]
+"""A satisfiable prefix, propagated: (forced true literals, their
+negations, residual clauses).  The residual clauses mention no forced
+variable, and each keeps at least two literals."""
+
+
+def _extend(state: _State, extension: Sequence[BareClause]) -> _State | None:
+    """The propagated state of a satisfiable prefix plus extension, or None
+    when that conjunction is unsatisfiable."""
+    true, false, residual = state
+    reduced = []
+    for clause in extension:
+        if true.isdisjoint(clause):
+            rest = clause - false if not clause.isdisjoint(false) else clause
+            if not rest:
+                return None
+            reduced.append(rest)
+    if not reduced:
+        return state
+    clauses = [*reduced, *residual]
+    forced = unit_propagate(clauses)
+    if forced is None:
+        return None
+    new_true, new_false = forced
+    residual = _residual(clauses, new_true, new_false)
+    if residual and not is_satisfiable(residual):
+        return None
+    if new_true:
+        true, false = true | new_true, false | new_false
+    return true, false, residual
+
+
+class _Node:
+    """A prefix in the sampler's tree: its state until it is expanded, then
+    its branches as (value, probability, child); a leaf's finished Sample."""
+
+    __slots__ = ("state", "branches", "sample")
+
+    def __init__(self, state: _State | None):
+        self.state = state
+        self.branches: tuple[tuple[bool, float, _Node], ...] | None = None
+        self.sample: Sample | None = None
+
+
+_NodeProposal = Callable[[int, tuple[bool, ...], set[int]], float]
+"""The sampler's proposal form: (step index, values of earlier steps, the
+literals that those values and the hard clauses force true) to P(true)."""
+
+
+class _FormulaSampler:
+    """Draws and enumerates formula assignments on a prefix tree.
+
+    A node is a prefix of step values.  Until it is expanded it holds the
+    prefix propagated: the literals forced true and false, and the residual
+    clauses, those not yet satisfied with their false literals removed.
+    Expanding a node checks both values of the next step by _extend, which
+    reduces the step's extension against the forced literals, propagates it
+    together with the residual alone, and runs the DPLL only on a non-empty
+    residual that propagation leaves; the children's states come out of
+    those checks.  The proposal reads the node's forced true literals.  The
+    node then keeps its branches, their probabilities and its children, and
+    drops its state.  A draw is a walk down the tree, the enumeration a
+    traversal of it with an explicit stack, and a leaf counts its formula's
+    solutions once and keeps the finished Sample.
     """
 
-    def __init__(self, m: PropMRF, soft_steps: Sequence[int], proposal: Proposal):
+    def __init__(self, m: PropMRF, soft_steps: Sequence[int], proposal: _NodeProposal):
         self.m = m
         self.proposal = proposal
         self.soft_steps = list(soft_steps)
@@ -180,50 +247,36 @@ class _FormulaSampler:
             clause = m.soft[j].clause.literals
             units = tuple(frozenset((-l,)) for l in sorted(clause, key=literal_key))
             self._extensions.append((units, (clause,)))
-        self._sat_cache: dict[tuple[int, int, bool], bool] = {}
-        self._prop_cache: dict[tuple[int, int], float] = {}
-        self._count_cache: dict[int, float] = {}
-        self._soft_weight_cache: dict[int, float] = {}
+        # The hard clauses were checked satisfiable at the sampler's entry.
+        true, false = unit_propagate(self.hard)
+        self.root = _Node((true, false, _residual(self.hard, true, false)))
 
-    def _branch_sat(
-        self, pos: int, bits: int, value: bool, constraints: list[BareClause]
-    ) -> bool:
-        key = (pos, bits, value)
-        cached = self._sat_cache.get(key)
-        if cached is not None:
-            return cached
-        ok = is_satisfiable([*constraints, *self._extensions[pos][value]])
-        self._sat_cache[key] = ok
-        return ok
-
-    def _proposal_at(self, pos: int, bits: int, values: list[bool]) -> float:
-        key = (pos, bits)
-        cached = self._prop_cache.get(key)
-        if cached is not None:
-            return cached
-        p = float(self.proposal(pos, tuple(values)))
-        p = min(max(p, _CLAMP), 1.0 - _CLAMP)
-        self._prop_cache[key] = p
-        return p
-
-    def _branches(
-        self, pos: int, bits: int, values: list[bool], constraints: list[BareClause]
-    ) -> tuple[tuple[bool, float], ...]:
-        """The values step pos can take after the prefix, each with its
-        probability: both by the proposal when both extensions are
+    def _expand(
+        self, node: _Node, pos: int, values: Sequence[bool]
+    ) -> tuple[tuple[bool, float, _Node], ...]:
+        """Record the values step pos can take after node's prefix, each
+        with its probability: both by the proposal when both extensions are
         satisfiable, else the satisfiable one with probability one."""
-        sat_true = self._branch_sat(pos, bits, True, constraints)
-        sat_false = self._branch_sat(pos, bits, False, constraints)
-        if sat_true and sat_false:
-            p = self._proposal_at(pos, bits, values)
-            return (True, p), (False, 1.0 - p)
-        if sat_true:
-            return ((True, 1.0),)
-        if sat_false:
-            return ((False, 1.0),)
-        raise NoConsistentSampleError(
-            "both extensions of a satisfiable prefix are unsatisfiable"
-        )
+        state = node.state
+        node.state = None
+        leaf = pos + 1 == len(self._extensions)
+        children = []
+        for value in (True, False):
+            child = _extend(state, self._extensions[pos][value])
+            if child is not None:
+                children.append((value, _Node(None if leaf else child)))
+        if len(children) == 2:
+            p = float(self.proposal(pos, tuple(values), state[0]))
+            p = min(max(p, _CLAMP), 1.0 - _CLAMP)
+            node.branches = ((True, p, children[0][1]), (False, 1.0 - p, children[1][1]))
+        elif children:
+            value, child = children[0]
+            node.branches = ((value, 1.0, child),)
+        else:
+            raise NoConsistentSampleError(
+                "both extensions of a satisfiable prefix are unsatisfiable"
+            )
+        return node.branches
 
     def counting_model(self, values: Sequence[bool]) -> BareModel:
         """The hard-only model whose solutions complete the formula assignment."""
@@ -232,93 +285,63 @@ class _FormulaSampler:
             hard.extend(self._extensions[pos][value])
         return (self.m.num_vars, tuple(hard), ())
 
-    def draw(self, rng: np.random.Generator) -> tuple[list[bool], float]:
-        values: list[bool] = []
-        bits = 0
-        qb = 1.0
-        constraints = list(self.hard)
-        for pos in range(len(self._extensions)):
-            branches = self._branches(pos, bits, values, constraints)
-            if len(branches) == 2 and rng.random() >= branches[0][1]:
-                value, p = branches[1]
-            else:
-                value, p = branches[0]
-            qb *= p
-            constraints.extend(self._extensions[pos][value])
-            if value:
-                bits |= 1 << pos
-            values.append(value)
-        return values, qb
-
-    def log_count(self, values: Sequence[bool]) -> float:
-        bits = _pack(values)
-        cached = self._count_cache.get(bits)
-        if cached is not None:
-            return cached
-        log_z = fdc_count(self.counting_model(values), mode=FORMULA).log_z
-        self._count_cache[bits] = log_z
-        return log_z
-
-    def log_soft_weight(self, values: Sequence[bool]) -> float:
-        bits = _pack(values)
-        cached = self._soft_weight_cache.get(bits)
-        if cached is not None:
-            return cached
-        total = sum(
-            self.m.soft[self.soft_steps[pos]].weight
-            for pos, value in enumerate(values)
-            if value
-        )
-        self._soft_weight_cache[bits] = total
-        return total
-
-    def finish(self, values: Sequence[bool], qb: float) -> Sample:
-        return Sample(
+    def _finish(self, leaf: _Node, values: Sequence[bool], qb: float) -> Sample:
+        leaf.sample = Sample(
             h=FormulaAssignment(tuple(enumerate(values))),
             qb=qb,
-            log_count=self.log_count(values),
-            log_soft_weight=self.log_soft_weight(values),
+            log_count=fdc_count(self.counting_model(values), mode=FORMULA).log_z,
+            log_soft_weight=sum(
+                self.m.soft[self.soft_steps[pos]].weight
+                for pos, value in enumerate(values)
+                if value
+            ),
         )
+        return leaf.sample
+
+    def draw(self, rng: np.random.Generator) -> Sample:
+        node = self.root
+        values: list[bool] = []
+        qb = 1.0
+        for pos in range(len(self._extensions)):
+            branches = node.branches or self._expand(node, pos, values)
+            if len(branches) == 2 and rng.random() >= branches[0][1]:
+                value, p, node = branches[1]
+            else:
+                value, p, node = branches[0]
+            qb *= p
+            values.append(value)
+        return node.sample or self._finish(node, values, qb)
 
     def enumerate(self) -> list[Sample]:
+        """Every leaf with its draw probability, true branches first."""
         samples: list[Sample] = []
-
-        def walk(pos: int, bits: int, values: list[bool], qb: float,
-                 constraints: list[BareClause]) -> None:
+        stack: list[tuple[_Node, tuple[bool, ...], float]] = [(self.root, (), 1.0)]
+        while stack:
+            node, values, qb = stack.pop()
+            pos = len(values)
             if pos == len(self._extensions):
-                samples.append(self.finish(values, qb))
-                return
-            for value, p in self._branches(pos, bits, values, constraints):
-                walk(
-                    pos + 1,
-                    bits | (1 << pos) if value else bits,
-                    values + [value],
-                    qb * p,
-                    [*constraints, *self._extensions[pos][value]],
-                )
-
-        walk(0, 0, [], 1.0, list(self.hard))
+                samples.append(node.sample or self._finish(node, values, qb))
+                continue
+            branches = node.branches or self._expand(node, pos, values)
+            for value, p, child in reversed(branches):
+                stack.append((child, values + (value,), qb * p))
         return samples
-
-
-def _pack(values: Sequence[bool]) -> int:
-    bits = 0
-    for pos, value in enumerate(values):
-        if value:
-            bits |= 1 << pos
-    return bits
 
 
 def _bp_formula_proposal(
     m: PropMRF, marginals: BpMarginals, soft_steps: Sequence[int]
-) -> Proposal:
+) -> _NodeProposal:
     """Adapt the factor-belief proposal to step indexing along soft_steps."""
 
-    def proposal(pos: int, values: tuple[bool, ...]) -> float:
-        prefix = [(soft_steps[j], values[j]) for j in range(pos)]
-        return formula_proposal(m, marginals, prefix, soft_steps[pos])
+    def proposal(pos: int, values: tuple[bool, ...], true: set[int]) -> float:
+        return formula_proposal(m, marginals, true, soft_steps[pos])
 
     return proposal
+
+
+def _prefix_proposal(proposal: Proposal) -> _NodeProposal:
+    """Adapt a proposal of the public (step, values) form."""
+    return lambda pos, values, true: proposal(pos, values)
 
 
 def _validate_sampling_model(m: PropMRF) -> None:
@@ -342,11 +365,15 @@ def _resolve_h_order(m: PropMRF, h_order: Sequence[int] | None) -> list[int]:
     return order
 
 
-def _fis_chunk(args) -> list[tuple[list[bool], float]]:
+def _fis_chunk(args) -> list[tuple[tuple[bool, ...], float, float, float]]:
+    """Draw and finish one worker's samples.  Each goes back as its fields:
+    pickled Samples, with their (step, value) pairs, are three times the
+    bytes, and raised the parent's peak memory."""
     m, h_order, marginals, n_samples, seed_seq = args
     sampler = _FormulaSampler(m, h_order, _bp_formula_proposal(m, marginals, h_order))
     rng = np.random.default_rng(seed_seq)
-    return [sampler.draw(rng) for _ in range(n_samples)]
+    draws = [sampler.draw(rng) for _ in range(n_samples)]
+    return [(s.h.values, s.qb, s.log_count, s.log_soft_weight) for s in draws]
 
 
 def run_fis(
@@ -383,15 +410,14 @@ def run_fis(
         if bp_config is None:
             bp_config = BpConfig()
         marginals = run_bp(m, bp_config)
-        proposal = _bp_formula_proposal(m, marginals, order)
+        node_proposal = _bp_formula_proposal(m, marginals, order)
+    else:
+        node_proposal = _prefix_proposal(proposal)
 
-    sampler = _FormulaSampler(m, order, proposal)
-
-    draws: list[tuple[list[bool], float]] = []
     if jobs == 1:
+        sampler = _FormulaSampler(m, order, node_proposal)
         rng = np.random.default_rng(seed)
-        for _ in range(n_samples):
-            draws.append(sampler.draw(rng))
+        samples = tuple(sampler.draw(rng) for _ in range(n_samples))
     else:
         seqs = np.random.SeedSequence(seed).spawn(jobs)
         base, extra = divmod(n_samples, jobs)
@@ -402,10 +428,11 @@ def run_fis(
             if counts[k] > 0
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_fis_chunk, tasks):
-                draws.extend(chunk)
-
-    samples = tuple(sampler.finish(values, qb) for values, qb in draws)
+            samples = tuple(
+                Sample(FormulaAssignment(tuple(enumerate(values))), qb, count, weight)
+                for chunk in pool.map(_fis_chunk, tasks)
+                for values, qb, count, weight in chunk
+            )
     log_weights = np.array([s.log_estimate for s in samples])
     return FisResult(
         model=m,
@@ -500,8 +527,9 @@ def enumerate_formula_assignments(
         if bp_config is None:
             bp_config = BpConfig()
         marginals = run_bp(m, bp_config)
-        proposal = _bp_formula_proposal(m, marginals, order)
-    sampler = _FormulaSampler(m, order, proposal)
+        sampler = _FormulaSampler(m, order, _bp_formula_proposal(m, marginals, order))
+    else:
+        sampler = _FormulaSampler(m, order, _prefix_proposal(proposal))
     return sampler.enumerate()
 
 
@@ -581,20 +609,19 @@ def fis_marginals(result: FisResult) -> np.ndarray:
         raise AllZeroWeightsError("all formula samples have zero weight")
     weights = np.exp(log_weights - shift)
 
-    sampler = _FormulaSampler(m, result.h_order, lambda pos, values: 0.5)
-    ratio_cache: dict[int, np.ndarray] = {}
+    sampler = _FormulaSampler(m, result.h_order, lambda pos, values, true: 0.5)
+    ratio_cache: dict[tuple[bool, ...], np.ndarray] = {}
     total_weight = 0.0
     accum = np.zeros(m.num_vars)
     for sample, weight in zip(result.samples, weights):
         values = sample.h.values
-        bits = _pack(values)
-        ratios = ratio_cache.get(bits)
+        ratios = ratio_cache.get(values)
         if ratios is None:
             ratios = np.zeros(m.num_vars)
             if sample.log_count != -math.inf:
                 counting = sampler.counting_model(values)
                 ratios = fdc_marginals(counting, mode=FORMULA).marginals
-            ratio_cache[bits] = ratios
+            ratio_cache[values] = ratios
         total_weight += weight
         accum += weight * ratios
     if total_weight <= 0.0:

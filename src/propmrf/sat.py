@@ -2,7 +2,7 @@
 
 Both work on bare clauses (model.BareClause): frozensets of DIMACS literals,
 which must not be tautologies.  unit_propagate is the package's one
-propagator; simplify, the solver below and the formula proposal all call it.
+propagator; simplify, the solver below and the formula sampler all call it.
 The solver branches on the lowest-index unassigned variable, trying true
 first, and keeps its open branches on an explicit stack, so its depth is not
 bounded by Python's recursion limit.  Clause learning is deliberately out of

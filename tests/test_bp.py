@@ -15,6 +15,7 @@ from propmrf import (
     run_bp,
     variable_proposal,
 )
+from propmrf.sat import unit_propagate
 
 from conftest import naive_marginals, random_mixed_model
 
@@ -117,12 +118,22 @@ def test_variable_proposal_clamps_extremes():
     assert 1e-9 <= q[1] <= 1e-6
 
 
+def _forced_true(m, prefix):
+    """The literals that unit propagation of the hard clauses and the
+    decided (soft clause index, value) prefix forces true."""
+    constraints = [c.literals for c in m.hard]
+    for j, value in prefix:
+        clause = m.soft[j].clause.literals
+        constraints += [clause] if value else [frozenset((-l,)) for l in clause]
+    return unit_propagate(constraints)[0]
+
+
 def test_formula_proposal_without_prefix_reads_the_factor_belief():
     m = PropMRF.from_lists(2, soft=[(0.9, [1, 2])])
     marginals = run_bp(m, BpConfig(max_iters=5000, tol=1e-12))
     scope, table = marginals.soft_factor(0)
     sat_mass = table[0, 1] + table[1, 0] + table[1, 1]
-    p = formula_proposal(m, marginals, [], 0)
+    p = formula_proposal(m, marginals, _forced_true(m, []), 0)
     assert p == pytest.approx(sat_mass / table.sum(), abs=1e-12)
 
 
@@ -133,21 +144,14 @@ def test_formula_proposal_respects_prefix_constraints():
     marginals = run_bp(m, BpConfig(max_iters=5000, tol=1e-12))
     # if clause 0 (the unit on variable 1) is false, clause 1 reduces to
     # variable 2 alone
-    p_false = formula_proposal(m, marginals, [(0, False)], 1)
+    p_false = formula_proposal(m, marginals, _forced_true(m, [(0, False)]), 1)
     scope, table = marginals.soft_factor(1)
     assert scope == (1, 2)
     expected = table[0, 1] / (table[0, 0] + table[0, 1])
     assert p_false == pytest.approx(expected, abs=1e-12)
     # if clause 0 is true, variable 1 is forced true and clause 1 is certain
-    p_true = formula_proposal(m, marginals, [(0, True)], 1)
+    p_true = formula_proposal(m, marginals, _forced_true(m, [(0, True)]), 1)
     assert p_true == pytest.approx(1.0 - 1e-9, abs=1e-12)
-
-
-def test_formula_proposal_conflicting_prefix_returns_half():
-    m = PropMRF.from_lists(2, hard=[[1]], soft=[(0.5, [1]), (0.7, [1, 2])])
-    marginals = run_bp(m)
-    p = formula_proposal(m, marginals, [(0, False)], 1)
-    assert p == 0.5
 
 
 def test_formula_proposal_stays_inside_the_open_interval():
@@ -168,7 +172,7 @@ def test_formula_proposal_stays_inside_the_open_interval():
         m = PropMRF.from_lists(n, soft=soft)
         marginals = run_bp(m)
         for i in range(len(m.soft)):
-            p = formula_proposal(m, marginals, [], i)
+            p = formula_proposal(m, marginals, _forced_true(m, []), i)
             assert 1e-9 <= p <= 1.0 - 1e-9
 
 

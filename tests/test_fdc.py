@@ -23,6 +23,7 @@ from propmrf import (
     gen_random,
     minimal_search_space,
     pick_evidence,
+    ve_count,
 )
 
 from conftest import calibration_model, naive_log_z, random_clause, random_mixed_model
@@ -207,6 +208,30 @@ def _degenerate_models(rng: np.random.Generator) -> list[PropMRF]:
         soft = tuple(SoftClause(sc.clause, float(rng.choice([-1e3, 1e3]))) for sc in m.soft)
         models.append(PropMRF(m.num_vars, m.hard, soft + soft[:1]))
     return models
+
+
+def test_exact_engines_match_brute_force_at_extreme_weights():
+    # Seeded differential fuzz of both search modes, with and without the
+    # bucket-elimination fallback, and of bucket elimination alone.
+    rng = np.random.default_rng(8406)
+    checked = 0
+    for _ in range(150):
+        m = random_mixed_model(rng, max_vars=8, max_hard=3, max_soft=6, max_size=4)
+        soft = tuple(SoftClause(sc.clause, float(rng.uniform(-1e3, 1e3))) for sc in m.soft)
+        m = PropMRF(m.num_vars, m.hard, soft)
+        expected = brute_force_z(m)
+        got = [
+            fdc_count(m, mode=mode, ve_width_threshold=threshold).log_z
+            for mode in (FORMULA, VARIABLE)
+            for threshold in (0, 16)
+        ] + [ve_count(m)]
+        for log_z in got:
+            if expected == -math.inf:
+                assert log_z == -math.inf
+            else:
+                assert abs(log_z - expected) <= 1e-12
+                checked += 1
+    assert checked > 500
 
 
 def test_exact_marginals_match_enumeration():

@@ -19,6 +19,7 @@ from propmrf import (
     brute_force_z,
     enumerate_formula_assignments,
     fis_marginals,
+    gen_qmr,
     gen_random,
     run_fis,
     run_vis,
@@ -309,6 +310,62 @@ def test_fixed_seed_draws_are_pinned():
         _digest(vis.assignments.astype(int).tolist())
         == "ba7dc0886875a1fed8f479793ea53df87a6954dbead3cc7c53b3cda9a67ff224"
     )
+
+
+_QMR_PINS = {
+    1: (20.35477186679462, "cf36e545112fb1e5f382266410355240e27a047f38919f2bd39b5b16064e0b4c"),
+    2: (20.358184224232325, "00d0cafdc0f133812c6f14ddd0d166499ad019665d5479ddda0cf160a4f6902d"),
+}
+
+
+@pytest.mark.parametrize("jobs", sorted(_QMR_PINS))
+def test_qmr_draws_are_pinned(jobs):
+    # Nearly every draw of a two-layer model is a distinct prefix, so this
+    # pins the SAT checks and the proposal at new tree nodes, in this
+    # process and in worker processes.
+    log_z_hat, digest = _QMR_PINS[jobs]
+    m = gen_qmr(15, 15, 7, seed=8613)
+    fis = run_fis(m, 200, seed=5, jobs=jobs)
+    assert fis.estimate.log_z_hat == log_z_hat
+    assert _digest([[list(s.h.values), s.qb.hex()] for s in fis.samples]) == digest
+
+
+@pytest.mark.parametrize(
+    "hard, soft",
+    [
+        # unit propagation refutes clause 0 false, and clause 1 false
+        ([[1]], [(0.5, [1]), (0.7, [1, 2])]),
+        # with 1 false the hard clauses forbid every value of 2 and 3, but
+        # propagation forces nothing: only the DPLL refutes that extension
+        ([[1, 2, 3], [1, 2, -3], [1, -2, 3], [1, -2, -3]], [(0.5, [1]), (0.7, [1, 2])]),
+    ],
+    ids=["propagation", "dpll"],
+)
+def test_forced_steps_skip_the_proposal(monkeypatch, hard, soft):
+    # Each step has one satisfiable extension: it is taken with probability
+    # one and the proposal is never asked.
+    m = PropMRF.from_lists(3, hard=hard, soft=soft)
+    calls = []
+    monkeypatch.setattr(
+        "propmrf.fis.formula_proposal", lambda *args: calls.append(args) or 0.5
+    )
+    result = run_fis(m, 20, seed=0)
+    assert calls == []
+    assert {s.h.values for s in result.samples} == {(True, True)}
+    assert all(s.qb == 1.0 for s in result.samples)
+
+
+def test_enumeration_of_a_long_forced_chain():
+    # 1500 steps, each forced by a hard unit: the enumeration is one path
+    # deeper than Python's recursion limit.
+    m = PropMRF.from_lists(
+        100,
+        hard=[[v] for v in range(1, 101)],
+        soft=[(0.3, [1 + k % 100]) for k in range(1500)],
+    )
+    (sample,) = enumerate_formula_assignments(m)
+    assert sample.qb == 1.0
+    assert sample.h.values == (True,) * 1500
 
 
 def test_fis_marginals_match_brute_force_per_assignment():
