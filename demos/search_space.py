@@ -14,10 +14,11 @@ from propmrf import (
     VARIABLE,
     PropMRF,
     brute_force_z,
-    choose_branch_clause,
     fdc_count,
     minimal_search_space,
 )
+from propmrf.fdc import choose_branch_clause
+from propmrf.model import to_bare
 
 # Four soft clauses over nine variables.  Clauses one and two share the block
 # {1, 2, 3}; clause three shares {4, 5} with clause one and clause four
@@ -53,8 +54,8 @@ assert formula.leaves < variable.leaves
 # scanning pairwise literal intersections, preferring blocks that occur in
 # many clauses and cover many literals.  On this model it settles on the
 # shared {1, 2, 3} block rather than a full input clause.
-branch = choose_branch_clause(m)
-print(f"greedy branch choice: clause {branch.clause.sorted_literals()} "
+branch = choose_branch_clause(to_bare(m))
+print(f"greedy branch choice: clause {sorted(branch.clause, key=abs)} "
       f"(occurs in {branch.occurrence_count} clauses)")
 
 # The production search normally adds component caching and a

@@ -34,7 +34,7 @@ from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from .model import PropMRF
+from .model import PropMRF, to_bare
 from .ve import clause_truth_table
 
 _CLAMP = 1e-9
@@ -72,12 +72,14 @@ class BpMarginals:
 
     Factors are ordered hard-then-soft in declaration order; factor_tables[k]
     is a normalized array of shape (2,) * len(factor_scopes[k]) with the
-    scope's variables ascending.
+    scope's variables ascending, and truth_tables[k] is the clause's truth
+    table (ve.clause_truth_table) over the same axes.
     """
 
     variable_p_true: np.ndarray
     factor_scopes: tuple[tuple[int, ...], ...]
     factor_tables: tuple[np.ndarray, ...]
+    truth_tables: tuple[np.ndarray, ...]
     n_hard: int
     converged: bool
     iterations: int
@@ -183,17 +185,21 @@ def run_bp(m: PropMRF, config: BpConfig = BpConfig()) -> BpMarginals:
     Exact on factor graphs without cycles; a fixed point elsewhere.  Messages
     start uniform, so the run is deterministic.
     """
+    num_vars, hard, soft = to_bare(m)
     scopes: list[tuple[int, ...]] = []
+    sats: list[np.ndarray] = []
     tables: list[np.ndarray] = []
-    for clause in m.hard:
+    for clause in hard:
         scope, sat = clause_truth_table(clause)
         scopes.append(scope)
+        sats.append(sat)
         tables.append(sat.astype(np.float64))
-    for sc in m.soft:
-        scope, sat = clause_truth_table(sc.clause)
+    for clause, weight in soft:
+        scope, sat = clause_truth_table(clause)
         scopes.append(scope)
-        tables.append(_soft_potential(sat, sc.weight))
-    edge_var, others, slots, groups = _edge_layout(m.num_vars, scopes, tables)
+        sats.append(sat)
+        tables.append(_soft_potential(sat, weight))
+    edge_var, others, slots, groups = _edge_layout(num_vars, scopes, tables)
     n_edges = edge_var.size
 
     # row n_edges of f2v is the ones row behind excluded and padded slots
@@ -223,7 +229,7 @@ def run_bp(m: PropMRF, config: BpConfig = BpConfig()) -> BpMarginals:
             converged = True
             break
 
-    belief = np.ones((m.num_vars, 2))
+    belief = np.ones((num_vars, 2))
     for slot in slots.T:
         belief = belief * f2v[slot]
     total = belief.sum(axis=1)
@@ -248,7 +254,8 @@ def run_bp(m: PropMRF, config: BpConfig = BpConfig()) -> BpMarginals:
         variable_p_true=p_true,
         factor_scopes=tuple(scopes),
         factor_tables=tuple(factor_tables),
-        n_hard=len(m.hard),
+        truth_tables=tuple(sats),
+        n_hard=len(hard),
         converged=converged,
         iterations=iterations,
         final_delta=delta,
@@ -262,10 +269,7 @@ def variable_proposal(marginals: BpMarginals) -> np.ndarray:
 
 
 def formula_proposal(
-    m: PropMRF,
-    marginals: BpMarginals,
-    forced_true: AbstractSet[int],
-    i: int,
+    marginals: BpMarginals, forced_true: AbstractSet[int], i: int
 ) -> float:
     """Probability that soft clause i is satisfied, given the literals that
     earlier clause values force.
@@ -278,7 +282,7 @@ def formula_proposal(
     is clamped to keep both branches possible.
     """
     scope, table = marginals.soft_factor(i)
-    _, sat = clause_truth_table(m.soft[i].clause.literals)
+    sat = marginals.truth_tables[marginals.n_hard + i]
     # Fix each forced axis at its value; the trailing Ellipsis keeps a fully
     # forced scope a 0-d array, so the masks below still select rows.
     rows = tuple(

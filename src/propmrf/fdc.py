@@ -16,8 +16,9 @@ model's min-fill width is small enough to hand it to bucket elimination.
 Conditioning contributes one node and two child calls; decomposition children
 accumulate their own counts without adding a node.
 
-Component results are cached under a canonical renaming, so structurally
-identical submodels met on different branches are solved once.
+Component results are cached under canonical_key, which renames variables
+in order of first occurrence, so a submodel met again on another branch, up
+to that renaming, is solved once.
 
 fdc_count, fdc_marginals and minimal_search_space take a validated PropMRF
 and convert it once to the bare form of model.BareModel: a clause is the
@@ -28,8 +29,9 @@ Every clause the search derives is a subset or an injective renaming of a
 validated one, so nothing inside is validated again.  The layer steps
 (simplify, connected_components, canonical_key, choose_branch_clause,
 condition_on_clause, minfill_width, clauses_to_factors) are called through
-this module's names once per step, on bare models; given a PropMRF instead,
-each acts as a thin adapter and answers in PropMRF terms.
+this module's names once per step, on bare models.  All of them but
+minfill_width take that form only; model.to_bare runs once, at the entry
+points.
 
 fdc_marginals runs the same search and returns P(v = true) for every
 variable along with log Z.  Each call returns its model's marginals next to
@@ -50,13 +52,13 @@ import itertools
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .graph import connected_components, minfill_width
-from .model import BareClause, BareModel, Clause, PropMRF, from_bare, literal_key, to_bare
+from .model import BareClause, BareModel, PropMRF, literal_key, to_bare
 from .simplify import SimplifyOutcome, SimplifyStatus, simplify
 from .ve import LN2, bucket_elimination, bucket_tree, clauses_to_factors
 
@@ -79,7 +81,7 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class BranchCandidate:
-    clause: Clause | BareClause
+    clause: BareClause
     occurrence_count: int
     size: int
 
@@ -94,19 +96,12 @@ class ExactResult:
 _Result = tuple[float, np.ndarray | None]
 
 
-def condition_on_clause(
-    m: PropMRF | BareModel, r: Clause | BareClause
-) -> tuple[PropMRF, PropMRF] | tuple[BareModel, BareModel]:
+def condition_on_clause(m: BareModel, r: BareClause) -> tuple[BareModel, BareModel]:
     """The two conditioned models: r holds / every literal of r fails.
 
     Z(m) = Z(true branch) + Z(false branch), since the branches partition the
-    assignments of m.  The models come back in the form m was given in.
+    assignments of m.
     """
-    if isinstance(m, PropMRF):
-        if not r.literals:
-            raise ValueError("cannot condition on the empty clause")
-        m_true, m_false = condition_on_clause(to_bare(m), r.literals)
-        return from_bare(m_true), from_bare(m_false)
     num_vars, hard, soft = m
     units = tuple(frozenset((-l,)) for l in sorted(r, key=abs))
     return (num_vars, hard + (r,), soft), (num_vars, hard + units, soft)
@@ -116,7 +111,7 @@ def _literal_seq_key(lits: frozenset[int]) -> tuple[tuple[int, bool], ...]:
     return tuple(literal_key(l) for l in sorted(lits, key=abs))
 
 
-def choose_branch_clause(m: PropMRF | BareModel, mode: str = FORMULA) -> BranchCandidate:
+def choose_branch_clause(m: BareModel, mode: str = FORMULA) -> BranchCandidate:
     """Branching heuristic: the largest sub-clause common to the most clauses.
 
     Formula mode scans all pairwise literal-set intersections and maximizes
@@ -124,14 +119,9 @@ def choose_branch_clause(m: PropMRF | BareModel, mode: str = FORMULA) -> BranchC
     sequence; if every intersection is empty it falls back to the most
     frequent single literal.  Variable mode picks the variable occurring in
     the most clauses (smallest index on ties) as a positive unit clause.
-    The candidate's clause is a Clause when m is a PropMRF and a bare clause
-    when m is bare.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
-    if isinstance(m, PropMRF):
-        candidate = choose_branch_clause(to_bare(m), mode)
-        return replace(candidate, clause=Clause(candidate.clause))
     _, hard, soft = m
     clauses = list(hard)
     clauses.extend(c for c, _ in soft)
@@ -169,15 +159,19 @@ def choose_branch_clause(m: PropMRF | BareModel, mode: str = FORMULA) -> BranchC
     return BranchCandidate(frozenset((best_lit,)), lit_counts[best_lit], 1)
 
 
-def canonical_key(
-    m: PropMRF | BareModel, with_weights: bool = True, _rename: dict | None = None
-):
-    """Hashable form invariant under variable renaming (first-occurrence order).
+def canonical_key(m: BareModel, with_weights: bool = True, _rename: dict | None = None):
+    """Hashable form of m with its variables renamed in order of first
+    occurrence, clauses taken hard then soft in their given order.
+
+    Equal keys mean isomorphic models, so the component cache is sound.
+    The converse does not hold: the renaming follows the clause order, so a
+    renamed model, or the same clauses listed in another order, may get a
+    different key.
 
     _rename, when given, is filled with the renaming the key was built under
     (original variable -> canonical variable).
     """
-    num_vars, hard, soft = to_bare(m)
+    num_vars, hard, soft = m
     rename: dict[int, int] = {} if _rename is None else _rename
 
     def mapped(c: BareClause) -> tuple[int, ...]:
@@ -261,7 +255,7 @@ def _recursion_room() -> Iterator[None]:
 
 
 def _search(
-    m: PropMRF | BareModel,
+    m: BareModel,
     mode: str,
     use_cache: bool,
     ve_width_threshold: int,
@@ -269,10 +263,9 @@ def _search(
 ) -> ExactResult:
     """The FDC search behind fdc_count and fdc_marginals.
 
-    m is converted to the bare form once; every step below works on bare
-    models.  Every call returns (log Z, marginals); the marginals are None
-    when with_marginals is off or Z is zero, so counting alone does no
-    marginal work.
+    Every call returns (log Z, marginals); the marginals are None when
+    with_marginals is off or Z is zero, so counting alone does no marginal
+    work.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
@@ -364,7 +357,7 @@ def _search(
         return log_z, marginals
 
     with _recursion_room():
-        log_z, marginals = solve(to_bare(m))
+        log_z, marginals = solve(m)
     return ExactResult(log_z, stats, marginals)
 
 
@@ -380,7 +373,7 @@ def fdc_count(
     threshold to bucket elimination; 0 disables the fallback.  Cache on and
     off produce identical values; only the statistics differ.
     """
-    return _search(m, mode, use_cache, ve_width_threshold, with_marginals=False)
+    return _search(to_bare(m), mode, use_cache, ve_width_threshold, with_marginals=False)
 
 
 def fdc_marginals(
@@ -397,7 +390,7 @@ def fdc_marginals(
     concatenate their components' marginals, and bucket-elimination leaves
     run the bucket-tree pass.  The marginals are None when Z is zero.
     """
-    return _search(m, mode, use_cache, ve_width_threshold, with_marginals=True)
+    return _search(to_bare(m), mode, use_cache, ve_width_threshold, with_marginals=True)
 
 
 def _branch_candidates(m: BareModel, mode: str) -> list[BareClause]:

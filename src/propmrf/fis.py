@@ -13,10 +13,11 @@ where qb is the probability the sampling process assigned to the draw (the
 product of the branch probabilities actually used at free steps).  Averaging
 the estimates over independent draws is unbiased for the partition function.
 
-The formula sampler takes a validated PropMRF and converts its clauses once
-to the bare form of model.BareClause (frozensets of literals).  Its draws
-share a prefix tree (see _FormulaSampler): each prefix is unit propagated
-once (sat.unit_propagate), and both the SAT checks of the next step
+The sampling entry points take a validated PropMRF and convert it once,
+with model.to_bare, to the bare form of model.BareModel (frozensets of
+literals in a plain tuple).  The formula sampler's draws share a prefix tree
+(see _FormulaSampler): each prefix is unit propagated once
+(sat.unit_propagate), and both the SAT checks of the next step
 (sat.is_satisfiable) and the belief propagation proposal start from that
 state, not from the hard clauses.  The hard-only counting models handed to
 fdc_count and fdc_marginals list the hard clauses, then per step the step's
@@ -39,7 +40,7 @@ import numpy as np
 
 from .bp import BpConfig, BpMarginals, formula_proposal, run_bp, variable_proposal
 from .fdc import FORMULA, InstanceTooLargeError, fdc_count, fdc_marginals
-from .model import BareClause, BareModel, Clause, PropMRF, literal_key
+from .model import BareClause, BareModel, Clause, PropMRF, literal_key, to_bare
 from .sat import is_satisfiable, unit_propagate
 
 _CLAMP = 1e-9
@@ -60,14 +61,9 @@ class AllZeroWeightsError(RuntimeError):
 
 @dataclass(frozen=True)
 class FormulaAssignment:
-    """Truth values for the sampled clauses, as (step index, value) pairs in
-    draw order."""
+    """Truth values for the sampled clauses, in draw order."""
 
-    assignments: tuple[tuple[int, bool], ...]
-
-    @property
-    def values(self) -> tuple[bool, ...]:
-        return tuple(value for _, value in self.assignments)
+    values: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -235,16 +231,15 @@ class _FormulaSampler:
     solutions once and keeps the finished Sample.
     """
 
-    def __init__(self, m: PropMRF, soft_steps: Sequence[int], proposal: _NodeProposal):
-        self.m = m
+    def __init__(self, m: BareModel, soft_steps: Sequence[int], proposal: _NodeProposal):
+        self.num_vars, self.hard, self.soft = m
         self.proposal = proposal
         self.soft_steps = list(soft_steps)
-        self.hard = [c.literals for c in m.hard]
         # Per step, indexed by its value: the negation of each literal in
         # literal_key order when false, the clause itself when true.
         self._extensions = []
         for j in self.soft_steps:
-            clause = m.soft[j].clause.literals
+            clause = self.soft[j][0]
             units = tuple(frozenset((-l,)) for l in sorted(clause, key=literal_key))
             self._extensions.append((units, (clause,)))
         # The hard clauses were checked satisfiable at the sampler's entry.
@@ -283,15 +278,15 @@ class _FormulaSampler:
         hard = list(self.hard)
         for pos, value in enumerate(values):
             hard.extend(self._extensions[pos][value])
-        return (self.m.num_vars, tuple(hard), ())
+        return (self.num_vars, tuple(hard), ())
 
     def _finish(self, leaf: _Node, values: Sequence[bool], qb: float) -> Sample:
         leaf.sample = Sample(
-            h=FormulaAssignment(tuple(enumerate(values))),
+            h=FormulaAssignment(tuple(values)),
             qb=qb,
             log_count=fdc_count(self.counting_model(values), mode=FORMULA).log_z,
             log_soft_weight=sum(
-                self.m.soft[self.soft_steps[pos]].weight
+                self.soft[self.soft_steps[pos]][1]
                 for pos, value in enumerate(values)
                 if value
             ),
@@ -328,13 +323,11 @@ class _FormulaSampler:
         return samples
 
 
-def _bp_formula_proposal(
-    m: PropMRF, marginals: BpMarginals, soft_steps: Sequence[int]
-) -> _NodeProposal:
+def _bp_formula_proposal(marginals: BpMarginals, soft_steps: Sequence[int]) -> _NodeProposal:
     """Adapt the factor-belief proposal to step indexing along soft_steps."""
 
     def proposal(pos: int, values: tuple[bool, ...], true: set[int]) -> float:
-        return formula_proposal(m, marginals, true, soft_steps[pos])
+        return formula_proposal(marginals, true, soft_steps[pos])
 
     return proposal
 
@@ -344,21 +337,22 @@ def _prefix_proposal(proposal: Proposal) -> _NodeProposal:
     return lambda pos, values, true: proposal(pos, values)
 
 
-def _validate_sampling_model(m: PropMRF) -> None:
-    if m.num_vars > MAX_SAMPLING_VARS:
+def _validate_sampling_model(m: BareModel) -> None:
+    num_vars, hard, _ = m
+    if num_vars > MAX_SAMPLING_VARS:
         raise InstanceTooLargeError(
-            f"sampling requires exact solution counts; {m.num_vars} variables "
+            f"sampling requires exact solution counts; {num_vars} variables "
             f"exceeds the supported maximum of {MAX_SAMPLING_VARS}"
         )
-    if not is_satisfiable([c.literals for c in m.hard]):
+    if not is_satisfiable(hard):
         raise NoConsistentSampleError("the hard clauses are unsatisfiable")
 
 
-def _resolve_h_order(m: PropMRF, h_order: Sequence[int] | None) -> list[int]:
+def _resolve_h_order(n_soft: int, h_order: Sequence[int] | None) -> list[int]:
     if h_order is None:
-        return list(range(len(m.soft)))
+        return list(range(n_soft))
     order = list(h_order)
-    if sorted(order) != list(range(len(m.soft))):
+    if sorted(order) != list(range(n_soft)):
         raise ValueError(
             "h_order must be a permutation of the soft clause indices"
         )
@@ -367,10 +361,9 @@ def _resolve_h_order(m: PropMRF, h_order: Sequence[int] | None) -> list[int]:
 
 def _fis_chunk(args) -> list[tuple[tuple[bool, ...], float, float, float]]:
     """Draw and finish one worker's samples.  Each goes back as its fields:
-    pickled Samples, with their (step, value) pairs, are three times the
-    bytes, and raised the parent's peak memory."""
+    pickled Samples are 1.4 times the bytes (500 draws on a qmr model)."""
     m, h_order, marginals, n_samples, seed_seq = args
-    sampler = _FormulaSampler(m, h_order, _bp_formula_proposal(m, marginals, h_order))
+    sampler = _FormulaSampler(m, h_order, _bp_formula_proposal(marginals, h_order))
     rng = np.random.default_rng(seed_seq)
     draws = [sampler.draw(rng) for _ in range(n_samples)]
     return [(s.h.values, s.qb, s.log_count, s.log_soft_weight) for s in draws]
@@ -399,8 +392,9 @@ def run_fis(
         raise ValueError("n_samples must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    _validate_sampling_model(m)
-    order = _resolve_h_order(m, h_order)
+    bare = to_bare(m)
+    _validate_sampling_model(bare)
+    order = _resolve_h_order(len(m.soft), h_order)
 
     if proposal is not None and jobs > 1:
         raise ValueError("a custom proposal cannot be used with jobs > 1")
@@ -410,12 +404,12 @@ def run_fis(
         if bp_config is None:
             bp_config = BpConfig()
         marginals = run_bp(m, bp_config)
-        node_proposal = _bp_formula_proposal(m, marginals, order)
+        node_proposal = _bp_formula_proposal(marginals, order)
     else:
         node_proposal = _prefix_proposal(proposal)
 
     if jobs == 1:
-        sampler = _FormulaSampler(m, order, node_proposal)
+        sampler = _FormulaSampler(bare, order, node_proposal)
         rng = np.random.default_rng(seed)
         samples = tuple(sampler.draw(rng) for _ in range(n_samples))
     else:
@@ -423,13 +417,13 @@ def run_fis(
         base, extra = divmod(n_samples, jobs)
         counts = [base + (1 if k < extra else 0) for k in range(jobs)]
         tasks = [
-            (m, tuple(order), marginals, counts[k], seqs[k])
+            (bare, tuple(order), marginals, counts[k], seqs[k])
             for k in range(jobs)
             if counts[k] > 0
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             samples = tuple(
-                Sample(FormulaAssignment(tuple(enumerate(values))), qb, count, weight)
+                Sample(FormulaAssignment(values), qb, count, weight)
                 for chunk in pool.map(_fis_chunk, tasks)
                 for values, qb, count, weight in chunk
             )
@@ -449,22 +443,23 @@ def vis_log_weights(
 ) -> np.ndarray:
     """Log importance weight of each row: log potential - log proposal mass,
     with -inf for rows violating a hard clause."""
+    _, hard, soft = to_bare(m)
     assignments = np.asarray(assignments, dtype=bool)
     n_rows = assignments.shape[0]
     log_w = np.zeros(n_rows)
     valid = np.ones(n_rows, dtype=bool)
-    for clause in m.hard:
+    for clause in hard:
         sat = np.zeros(n_rows, dtype=bool)
-        for lit in clause.literals:
+        for lit in clause:
             col = assignments[:, abs(lit) - 1]
             sat |= col if lit > 0 else ~col
         valid &= sat
-    for sc in m.soft:
+    for clause, weight in soft:
         sat = np.zeros(n_rows, dtype=bool)
-        for lit in sc.clause.literals:
+        for lit in clause:
             col = assignments[:, abs(lit) - 1]
             sat |= col if lit > 0 else ~col
-        log_w += np.where(sat, sc.weight, 0.0)
+        log_w += np.where(sat, weight, 0.0)
     log_q = assignments @ np.log(q) + (~assignments) @ np.log1p(-q)
     log_w -= log_q
     log_w[~valid] = -np.inf
@@ -483,7 +478,7 @@ def run_vis(
     marginals; q overrides it with explicit per-variable probabilities."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    _validate_sampling_model(m)
+    _validate_sampling_model(to_bare(m))
     marginals: BpMarginals | None = None
     if q is None:
         if bp_config is None:
@@ -521,15 +516,16 @@ def enumerate_formula_assignments(
     expectations of the estimator (mean, variance) can be computed without
     sampling.  Intended for small models.
     """
-    _validate_sampling_model(m)
-    order = _resolve_h_order(m, h_order)
+    bare = to_bare(m)
+    _validate_sampling_model(bare)
+    order = _resolve_h_order(len(m.soft), h_order)
     if proposal is None:
         if bp_config is None:
             bp_config = BpConfig()
         marginals = run_bp(m, bp_config)
-        sampler = _FormulaSampler(m, order, _bp_formula_proposal(m, marginals, order))
+        sampler = _FormulaSampler(bare, order, _bp_formula_proposal(marginals, order))
     else:
-        sampler = _FormulaSampler(m, order, _prefix_proposal(proposal))
+        sampler = _FormulaSampler(bare, order, _prefix_proposal(proposal))
     return sampler.enumerate()
 
 
@@ -565,29 +561,30 @@ def u_from_q(
 ) -> UFormulaDistribution:
     """Push a per-variable proposal forward onto formula assignments by full
     enumeration.  Limited to small models."""
-    if m.num_vars > 14:
+    num_vars, hard, soft = to_bare(m)
+    if num_vars > 14:
         raise InstanceTooLargeError(
             "u_from_q enumerates all assignments; at most 14 variables"
         )
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (m.num_vars,):
+    if q.shape != (num_vars,):
         raise ValueError("q must hold one probability per variable")
-    order = _resolve_h_order(m, h_order)
-    h_clauses = [m.soft[j].clause for j in order]
+    order = _resolve_h_order(len(soft), h_order)
+    h_clauses = [soft[j][0] for j in order]
     masses: dict[tuple[bool, ...], float] = {}
     kappa = 0.0
-    for code in range(1 << m.num_vars):
-        x = [(code >> (v - 1)) & 1 == 1 for v in range(1, m.num_vars + 1)]
+    for code in range(1 << num_vars):
+        x = [(code >> (v - 1)) & 1 == 1 for v in range(1, num_vars + 1)]
         if any(
-            not any((lit > 0) == x[abs(lit) - 1] for lit in clause.literals)
-            for clause in m.hard
+            not any((lit > 0) == x[abs(lit) - 1] for lit in clause)
+            for clause in hard
         ):
             continue
         mass = 1.0
-        for v in range(m.num_vars):
+        for v in range(num_vars):
             mass *= q[v] if x[v] else 1.0 - q[v]
         profile = tuple(
-            any((lit > 0) == x[abs(lit) - 1] for lit in clause.literals)
+            any((lit > 0) == x[abs(lit) - 1] for lit in clause)
             for clause in h_clauses
         )
         masses[profile] = masses.get(profile, 0.0) + mass
@@ -609,7 +606,7 @@ def fis_marginals(result: FisResult) -> np.ndarray:
         raise AllZeroWeightsError("all formula samples have zero weight")
     weights = np.exp(log_weights - shift)
 
-    sampler = _FormulaSampler(m, result.h_order, lambda pos, values, true: 0.5)
+    sampler = _FormulaSampler(to_bare(m), result.h_order, lambda pos, values, true: 0.5)
     ratio_cache: dict[tuple[bool, ...], np.ndarray] = {}
     total_weight = 0.0
     accum = np.zeros(m.num_vars)

@@ -4,10 +4,9 @@ The primal graph has one vertex per variable occurring in some clause and an
 edge between every pair of variables sharing a clause.  Variables occurring in
 no clause are not vertices; simplification accounts for them separately.
 
-These functions take a validated PropMRF or the search's bare form
-(model.BareModel).  connected_components returns component models in the
-form it was given, so the search splits bare models without building
-PropMRF objects; minfill_width and primal_adjacency only read clauses.
+These functions work on the search's bare form (model.BareModel), and
+connected_components returns bare component models.  minfill_width alone
+also takes a validated PropMRF, which it converts with model.to_bare.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .model import BareModel, PropMRF, compact_bare, from_bare, to_bare
+from .model import BareModel, PropMRF, compact_bare, to_bare
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,7 @@ class Component:
     """One connected component: its original variables and a compacted submodel."""
 
     variables: frozenset[int]
-    model: PropMRF | BareModel
+    model: BareModel
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,8 @@ class WidthEstimate:
     order: tuple[int, ...]
 
 
-def primal_adjacency(m: PropMRF | BareModel) -> dict[int, set[int]]:
-    _, hard, soft = to_bare(m)
+def primal_adjacency(m: BareModel) -> dict[int, set[int]]:
+    _, hard, soft = m
     adj: dict[int, set[int]] = {}
     for clause in chain(hard, (c for c, _ in soft)):
         scope = sorted(map(abs, clause))
@@ -46,7 +45,7 @@ def primal_adjacency(m: PropMRF | BareModel) -> dict[int, set[int]]:
     return adj
 
 
-def connected_components(m: PropMRF | BareModel) -> list[Component]:
+def connected_components(m: BareModel) -> list[Component]:
     """Split m along its primal graph; components are ordered by smallest variable.
 
     Each component model is renumbered over its own variables, so the
@@ -54,11 +53,6 @@ def connected_components(m: PropMRF | BareModel) -> list[Component]:
     is the product of the component partition functions.  A model that is a
     single component over all its variables is returned as it is.
     """
-    if isinstance(m, PropMRF):
-        return [
-            Component(c.variables, from_bare(c.model))
-            for c in connected_components(to_bare(m))
-        ]
     num_vars, hard, soft = m
     # Union-find over variables, with path halving.
     parent = list(range(num_vars + 1))
@@ -114,7 +108,8 @@ def minfill_width(m: PropMRF | BareModel) -> WidthEstimate:
     broken by smallest index); the width is the largest neighborhood met along
     the way.
     """
-    adj = primal_adjacency(m)
+    # perfbench's VE reference calls it on a PropMRF, so it takes both forms.
+    adj = primal_adjacency(to_bare(m))
     order: list[int] = []
     width = 0
     while adj:

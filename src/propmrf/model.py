@@ -20,9 +20,10 @@ Model file format::
 Query file format: zero or more ``<lit> ... 0`` lines, each one clause of the
 query conjunction.
 
-The exact search and the formula sampler run on a bare form of the model
-(BareModel: frozensets of literals in a plain tuple) that to_bare builds
-once from a validated PropMRF; from_bare converts back, validating again.
+Below the public entry points, every layer runs on a bare form of the model
+(BareModel: frozensets of literals in a plain tuple).  to_bare, the one
+function that knows both forms, builds it once per entry point from a
+validated PropMRF; from_bare converts back, validating again.
 """
 
 from __future__ import annotations
@@ -322,8 +323,10 @@ def compact_bare(
     soft: Sequence[tuple[BareClause, float]],
     variables: Sequence[int],
 ) -> BareModel:
-    """compact_model over bare clauses, given the ascending variables that
-    occur in them.  Clauses already over 1..k are kept as they are."""
+    """The clauses with the variables occurring in them, given ascending,
+    renumbered to 1..k in the same order.  Every variable of the result
+    occurs in some clause, which keeps its partition function free of stray
+    factor-2 terms.  Clauses already over 1..k are kept as they are."""
     k = len(variables)
     if not k or variables[-1] == k:
         return (k, tuple(hard), tuple(soft))
@@ -337,20 +340,3 @@ def compact_bare(
         tuple(frozenset(map(get, c)) for c in hard),
         tuple((frozenset(map(get, c)), w) for c, w in soft),
     )
-
-
-def compact_model(
-    hard: Sequence[Clause], soft: Sequence[SoftClause]
-) -> PropMRF:
-    """Renumber the variables occurring in the given clauses to 1..k.
-
-    Original variable order is preserved (ascending), so the result is
-    deterministic.  Every variable of the result occurs in some clause, which
-    keeps the partition function of the result free of stray factor-2 terms.
-    """
-    bare_hard = [c.literals for c in hard]
-    bare_soft = [(sc.clause.literals, sc.weight) for sc in soft]
-    variables = sorted(
-        {abs(l) for c in bare_hard for l in c} | {abs(l) for c, _ in bare_soft for l in c}
-    )
-    return from_bare(compact_bare(bare_hard, bare_soft, variables))

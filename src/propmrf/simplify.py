@@ -21,28 +21,20 @@ One pass reaches the fixpoint: after propagation every open hard clause
 keeps at least two unassigned literals, so nothing is left to force, and
 dropping subsumed hard clauses cannot let a new one subsume a soft clause.
 
-simplify works on the search's bare form (model.BareModel): clauses are
+simplify takes and returns the search's bare form (model.BareModel), which
+the search's entry points build once with model.to_bare: clauses are
 frozensets of literals, a set of true literals is the assignment, and
 subsumption is <= on frozensets.  Propagation is sat.unit_propagate, the
-propagator the SAT solver and the formula proposal share.  Given a
-validated PropMRF simplify converts at entry and returns a PropMRF model;
-given a bare model, as the search does, it returns a bare one.
+propagator the SAT solver and the formula sampler share.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .model import (
-    Assignment,
-    BareModel,
-    PropMRF,
-    compact_bare,
-    from_bare,
-    to_bare,
-)
+from .model import Assignment, BareModel, compact_bare
 from .sat import unit_propagate
 
 LN2 = math.log(2.0)
@@ -58,17 +50,14 @@ class SimplifyStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SimplifyOutcome:
-    model: PropMRF | BareModel
+    model: BareModel
     log_weight: float
     status: SimplifyStatus
     assignment: Assignment = field(default_factory=dict)
     variables: tuple[int, ...] = ()
 
 
-def simplify(m: PropMRF | BareModel) -> SimplifyOutcome:
-    if isinstance(m, PropMRF):
-        out = simplify(to_bare(m))
-        return replace(out, model=from_bare(out.model))
+def simplify(m: BareModel) -> SimplifyOutcome:
     num_vars, hard, soft = m
 
     forced = unit_propagate(hard)

@@ -18,6 +18,9 @@ whole model.  The bucket variable's marginal is read off that product, and
 each child is sent the product with the child's own message removed and the
 rest summed out.  Removing a message masks the entries where it is -inf
 instead of subtracting it, so hard clauses produce no NaN.
+
+The factor builders take bare clauses and models (model.BareModel); ve_count
+converts its PropMRF once with model.to_bare.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import minfill_width
-from .model import BareClause, BareModel, Clause, PropMRF, to_bare
+from .model import BareClause, BareModel, PropMRF, to_bare
 
 LN2 = math.log(2.0)
 
@@ -49,9 +52,7 @@ class Factor:
     table: np.ndarray  # shape (2,) * len(scope), natural-log values
 
 
-def clause_truth_table(
-    clause: Clause | BareClause,
-) -> tuple[tuple[int, ...], np.ndarray]:
+def clause_truth_table(clause: BareClause) -> tuple[tuple[int, ...], np.ndarray]:
     """The clause's scope (its variables, ascending) and its truth table: a
     boolean array of shape (2,) * len(scope) indexed by the scope's values,
     false only at the one row that falsifies every literal."""
@@ -61,19 +62,15 @@ def clause_truth_table(
     return tuple(abs(lit) for lit in lits), table
 
 
-def clause_to_factor(
-    clause: Clause | BareClause, log_sat: float, log_unsat: float
-) -> Factor:
+def clause_to_factor(clause: BareClause, log_sat: float, log_unsat: float) -> Factor:
     scope, sat = clause_truth_table(clause)
     table = np.where(sat, np.float64(log_sat), np.float64(log_unsat))
     return Factor(scope, table)
 
 
-def clauses_to_factors(m: PropMRF | BareModel, max_width: int = 20) -> list[Factor]:
-    """One factor per clause, hard clauses first then soft, in declaration order.
-
-    m may be a PropMRF or the search's bare form."""
-    _, hard, soft = to_bare(m)
+def clauses_to_factors(m: BareModel, max_width: int = 20) -> list[Factor]:
+    """One factor per clause, hard clauses first then soft, in declaration order."""
+    _, hard, soft = m
     factors: list[Factor] = []
     for clause in hard:
         if len(clause) > max_width:
@@ -217,9 +214,10 @@ def ve_count(
     m: PropMRF, max_width: int = 20, order: Sequence[int] | None = None
 ) -> float:
     """Partition function of m by bucket elimination (min-fill order by default)."""
-    factors = clauses_to_factors(m, max_width)
+    bare = to_bare(m)
+    factors = clauses_to_factors(bare, max_width)
     if order is None:
-        order = minfill_width(m).order
+        order = minfill_width(bare).order
     covered = set(order) | m.occurring_variables()
     log_z = bucket_elimination(factors, order, max_width)
     return log_z + LN2 * (m.num_vars - len(covered))

@@ -103,6 +103,7 @@ def test_variable_proposal_clamps_extremes():
         variable_p_true=np.array([0.0, 1.0, 0.3]),
         factor_scopes=(),
         factor_tables=(),
+        truth_tables=(),
         n_hard=0,
         converged=True,
         iterations=1,
@@ -133,7 +134,7 @@ def test_formula_proposal_without_prefix_reads_the_factor_belief():
     marginals = run_bp(m, BpConfig(max_iters=5000, tol=1e-12))
     scope, table = marginals.soft_factor(0)
     sat_mass = table[0, 1] + table[1, 0] + table[1, 1]
-    p = formula_proposal(m, marginals, _forced_true(m, []), 0)
+    p = formula_proposal(marginals, _forced_true(m, []), 0)
     assert p == pytest.approx(sat_mass / table.sum(), abs=1e-12)
 
 
@@ -144,13 +145,13 @@ def test_formula_proposal_respects_prefix_constraints():
     marginals = run_bp(m, BpConfig(max_iters=5000, tol=1e-12))
     # if clause 0 (the unit on variable 1) is false, clause 1 reduces to
     # variable 2 alone
-    p_false = formula_proposal(m, marginals, _forced_true(m, [(0, False)]), 1)
+    p_false = formula_proposal(marginals, _forced_true(m, [(0, False)]), 1)
     scope, table = marginals.soft_factor(1)
     assert scope == (1, 2)
     expected = table[0, 1] / (table[0, 0] + table[0, 1])
     assert p_false == pytest.approx(expected, abs=1e-12)
     # if clause 0 is true, variable 1 is forced true and clause 1 is certain
-    p_true = formula_proposal(m, marginals, _forced_true(m, [(0, True)]), 1)
+    p_true = formula_proposal(marginals, _forced_true(m, [(0, True)]), 1)
     assert p_true == pytest.approx(1.0 - 1e-9, abs=1e-12)
 
 
@@ -172,7 +173,7 @@ def test_formula_proposal_stays_inside_the_open_interval():
         m = PropMRF.from_lists(n, soft=soft)
         marginals = run_bp(m)
         for i in range(len(m.soft)):
-            p = formula_proposal(m, marginals, _forced_true(m, []), i)
+            p = formula_proposal(marginals, _forced_true(m, []), i)
             assert 1e-9 <= p <= 1.0 - 1e-9
 
 

@@ -7,15 +7,11 @@ import pytest
 from propmrf import (
     FORMULA,
     VARIABLE,
-    Clause,
     InstanceTooLargeError,
     PropMRF,
     SoftClause,
     brute_force_marginals,
     brute_force_z,
-    canonical_key,
-    choose_branch_clause,
-    condition_on_clause,
     exact_marginals,
     fdc_count,
     fdc_marginals,
@@ -25,6 +21,8 @@ from propmrf import (
     pick_evidence,
     ve_count,
 )
+from propmrf.fdc import canonical_key, choose_branch_clause, condition_on_clause
+from propmrf.model import from_bare, to_bare
 
 from conftest import calibration_model, naive_log_z, random_clause, random_mixed_model
 
@@ -39,29 +37,32 @@ def test_conditioning_splits_the_assignment_space():
         size = int(rng.integers(1, min(3, len(occurring)) + 1))
         chosen = rng.choice(occurring, size=size, replace=False)
         signs = rng.random(size) < 0.5
-        r = Clause(int(v) if s else -int(v) for v, s in zip(chosen, signs))
-        m_true, m_false = condition_on_clause(m, r)
-        assert m_true.hard == m.hard + (r,)
-        assert len(m_false.hard) == len(m.hard) + len(r)
+        r = frozenset(int(v) if s else -int(v) for v, s in zip(chosen, signs))
+        bare = to_bare(m)
+        m_true, m_false = condition_on_clause(bare, r)
+        assert m_true[1] == bare[1] + (r,)
+        assert len(m_false[1]) == len(bare[1]) + len(r)
         whole = math.exp(naive_log_z(m))
-        split = math.exp(naive_log_z(m_true)) + math.exp(naive_log_z(m_false))
+        split = math.exp(naive_log_z(from_bare(m_true))) + math.exp(
+            naive_log_z(from_bare(m_false))
+        )
         assert split == pytest.approx(whole, rel=1e-12, abs=1e-300)
 
 
 def test_branch_choice_on_the_calibration_model():
-    m = calibration_model()
+    m = to_bare(calibration_model())
     candidate = choose_branch_clause(m, FORMULA)
-    assert candidate.clause == Clause([1, 2, 3])
+    assert candidate.clause == frozenset({1, 2, 3})
     assert candidate.occurrence_count == 2
     assert candidate.size == 3
     unit = choose_branch_clause(m, VARIABLE)
-    assert unit.clause == Clause([1])
+    assert unit.clause == frozenset({1})
 
 
 def test_branch_choice_prefers_shared_intersections():
     m = PropMRF.from_lists(4, soft=[(0.5, [1, 2]), (0.4, [-1, 3]), (0.3, [-1, 4])])
-    candidate = choose_branch_clause(m, FORMULA)
-    assert candidate.clause == Clause([-1])
+    candidate = choose_branch_clause(to_bare(m), FORMULA)
+    assert candidate.clause == frozenset({-1})
     assert candidate.occurrence_count == 2
 
 
@@ -69,8 +70,8 @@ def test_branch_choice_falls_back_to_most_frequent_literal():
     # every pairwise literal-set intersection is empty; ties resolve toward
     # the smallest literal
     m = PropMRF.from_lists(3, soft=[(0.5, [1, 2]), (0.4, [-1, 3]), (0.3, [-2, -3])])
-    candidate = choose_branch_clause(m, FORMULA)
-    assert candidate.clause == Clause([1])
+    candidate = choose_branch_clause(to_bare(m), FORMULA)
+    assert candidate.clause == frozenset({1})
     assert candidate.occurrence_count == 1
 
 
@@ -131,10 +132,10 @@ def test_cache_changes_statistics_not_values():
 
 
 def test_canonical_key_identifies_renamed_models():
-    a = PropMRF.from_lists(4, hard=[[1, 2]], soft=[(0.5, [2, 3]), (0.1, [4])])
-    b = PropMRF.from_lists(4, hard=[[3, 4]], soft=[(0.5, [4, 1]), (0.1, [2])])
+    a = to_bare(PropMRF.from_lists(4, hard=[[1, 2]], soft=[(0.5, [2, 3]), (0.1, [4])]))
+    b = to_bare(PropMRF.from_lists(4, hard=[[3, 4]], soft=[(0.5, [4, 1]), (0.1, [2])]))
     assert canonical_key(a) == canonical_key(b)
-    c = PropMRF.from_lists(4, hard=[[1, 2]], soft=[(0.6, [2, 3]), (0.1, [4])])
+    c = to_bare(PropMRF.from_lists(4, hard=[[1, 2]], soft=[(0.6, [2, 3]), (0.1, [4])]))
     assert canonical_key(a) != canonical_key(c)
     assert canonical_key(a, with_weights=False) == canonical_key(
         c, with_weights=False

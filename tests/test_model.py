@@ -17,7 +17,7 @@ from propmrf import (
     parse_query,
     write_model,
 )
-from propmrf.model import compact_model, literal_key
+from propmrf.model import compact_bare, literal_key, to_bare
 
 
 def test_literal_key_orders_by_variable_then_sign():
@@ -164,10 +164,8 @@ def test_fingerprint_distinguishes_models():
     assert model_fingerprint(a) != model_fingerprint(b)
 
 
-def test_compact_model_renumbers_in_ascending_order():
-    m = compact_model(
-        (Clause([7, -4]),), (SoftClause(Clause([-9, 7]), 0.3),)
+def test_compact_bare_renumbers_in_ascending_order():
+    m = compact_bare((frozenset({7, -4}),), ((frozenset({-9, 7}), 0.3),), [4, 7, 9])
+    assert m == to_bare(
+        PropMRF.from_lists(3, hard=[[-1, 2]], soft=[(0.3, [2, -3])])
     )
-    assert m.num_vars == 3
-    assert m.hard == (Clause([-1, 2]),)
-    assert m.soft == (SoftClause(Clause([2, -3]), 0.3),)

@@ -1,6 +1,8 @@
 """The benchmark's traced runs wrap module-level names of propmrf.fdc,
-propmrf.fis and propmrf.sat.  Installing and removing those wrappers here
-makes a refactor that drops or renames one of them fail the test suite."""
+propmrf.fis and propmrf.sat, and its references call the public API.
+Installing and removing those wrappers, and running each reference, here
+makes a refactor that drops, renames or narrows one of them fail the test
+suite."""
 
 import importlib.util
 import sys
@@ -29,3 +31,20 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     finally:
         for name in set(sys.modules) - before:
             del sys.modules[name]
+
+
+def test_workload_references_agree_with_brute_force(monkeypatch):
+    """Each workload's reference calls the public API on a PropMRF, as the
+    benchmark does; an entry point that stops taking that form fails here."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up while it is being executed
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    m = propmrf.gen_random(8, 6, 3)
+    log_z = propmrf.brute_force_z(m)
+    for name, workload in workloads.WORKLOADS.items():
+        ref = workload.reference(propmrf, m)
+        assert abs(ref["log_z"] - log_z) <= 1e-9, name

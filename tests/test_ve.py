@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from propmrf import Clause, PropMRF, VeWidthError, ve_count
+from propmrf import PropMRF, VeWidthError, ve_count
+from propmrf.model import to_bare
 from propmrf.ve import (
     Factor,
     bucket_elimination,
@@ -16,7 +17,7 @@ from conftest import naive_log_z, random_mixed_model
 
 
 def test_clause_to_factor_tables():
-    f = clause_to_factor(Clause([1, -2]), 0.0, -math.inf)
+    f = clause_to_factor(frozenset({1, -2}), 0.0, -math.inf)
     assert f.scope == (1, 2)
     # rows indexed [x1][x2]; the clause fails only at x1=0, x2=1
     assert f.table[0, 0] == 0.0
@@ -24,7 +25,7 @@ def test_clause_to_factor_tables():
     assert f.table[1, 0] == 0.0
     assert f.table[1, 1] == 0.0
 
-    g = clause_to_factor(Clause([2]), 0.7, 0.0)
+    g = clause_to_factor(frozenset({2}), 0.7, 0.0)
     assert g.scope == (2,)
     assert g.table[0] == 0.0
     assert g.table[1] == 0.7
@@ -94,7 +95,7 @@ def test_bucket_elimination_empty_inputs():
 def test_clauses_to_factors_rejects_wide_clause():
     m = PropMRF.from_lists(4, hard=[[1, 2, 3, 4]])
     with pytest.raises(VeWidthError):
-        clauses_to_factors(m, max_width=3)
+        clauses_to_factors(to_bare(m), max_width=3)
 
 
 def _random_factors(rng: np.random.Generator, n: int) -> list[Factor]:
