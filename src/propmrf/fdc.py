@@ -16,9 +16,10 @@ model's min-fill width is small enough to hand it to bucket elimination.
 Conditioning contributes one node and two child calls; decomposition children
 accumulate their own counts without adding a node.
 
-Component results are cached under canonical_key, which renames variables
-in order of first occurrence, so a submodel met again on another branch, up
-to that renaming, is solved once.
+Component results are cached under canonical_key.  Components arrive
+compacted to variables 1..k in ascending order, and the key is that model
+with its clause order erased, so a submodel met again on another branch, or
+under any order-preserving renaming, is solved once.
 
 fdc_count, fdc_marginals and minimal_search_space take a validated PropMRF
 and convert it once to the bare form of model.BareModel: a clause is the
@@ -42,8 +43,8 @@ certain, swept ones fair coins), decomposition concatenates its components'
 marginals, conditioning mixes its branches' marginals by their shares
 exp(log Z_branch - log Z), single-clause leaves have a closed form, and
 bucket-elimination leaves run the bucket tree's downward pass.  Cache
-entries hold marginals in canonical-variable order.  fdc_count does none of
-this work.
+entries hold marginals in the component's own numbering, so a hit returns
+them as stored.  fdc_count does none of this work.
 """
 
 from __future__ import annotations
@@ -120,8 +121,6 @@ def choose_branch_clause(m: BareModel, mode: str = FORMULA) -> BranchCandidate:
     frequent single literal.  Variable mode picks the variable occurring in
     the most clauses (smallest index on ties) as a positive unit clause.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown branching mode {mode!r}")
     _, hard, soft = m
     clauses = list(hard)
     clauses.extend(c for c, _ in soft)
@@ -159,37 +158,24 @@ def choose_branch_clause(m: BareModel, mode: str = FORMULA) -> BranchCandidate:
     return BranchCandidate(frozenset((best_lit,)), lit_counts[best_lit], 1)
 
 
-def canonical_key(m: BareModel, with_weights: bool = True, _rename: dict | None = None):
-    """Hashable form of m with its variables renamed in order of first
-    occurrence, clauses taken hard then soft in their given order.
+def canonical_key(m: BareModel, with_weights: bool = True):
+    """Hashable form of m that forgets the order of its clauses: num_vars,
+    the sorted hard clauses and the sorted soft clauses, each clause the
+    tuple of its literals sorted by variable.  with_weights=False drops the
+    soft weights.
 
-    Equal keys mean isomorphic models, so the component cache is sound.
-    The converse does not hold: the renaming follows the clause order, so a
-    renamed model, or the same clauses listed in another order, may get a
-    different key.
-
-    _rename, when given, is filled with the renaming the key was built under
-    (original variable -> canonical variable).
+    No variable is renamed, so equal keys mean the same clauses over the
+    same variables.  The search keys components compacted to 1..k in
+    ascending order, so a submodel met again under any order-preserving
+    renaming gets the same key, and its cached marginals are already in the
+    component's numbering.
     """
     num_vars, hard, soft = m
-    rename: dict[int, int] = {} if _rename is None else _rename
-
-    def mapped(c: BareClause) -> tuple[int, ...]:
-        out = []
-        for lit in sorted(c, key=abs):
-            v = abs(lit)
-            r = rename.get(v)
-            if r is None:
-                r = rename[v] = len(rename) + 1
-            out.append(r if lit > 0 else -r)
-        out.sort(key=abs)
-        return tuple(out)
-
-    hard_keys = sorted([mapped(c) for c in hard])
+    hard_keys = sorted([tuple(sorted(c, key=abs)) for c in hard])
     if with_weights:
-        soft_keys = sorted([(mapped(c), w) for c, w in soft])
+        soft_keys = sorted([(tuple(sorted(c, key=abs)), w) for c, w in soft])
     else:
-        soft_keys = sorted([(mapped(c),) for c, _ in soft])
+        soft_keys = sorted([tuple(sorted(c, key=abs)) for c, _ in soft])
     return (num_vars, tuple(hard_keys), tuple(soft_keys))
 
 
@@ -236,11 +222,6 @@ def _lift(out: SimplifyOutcome, num_vars: int, reduced: np.ndarray | None) -> np
     if out.variables:
         marginals[np.array(out.variables) - 1] = reduced
     return marginals
-
-
-def _permutation(rename: dict[int, int]) -> np.ndarray:
-    """Index array p with p[v - 1] = rename[v] - 1 over variables 1..len(rename)."""
-    return np.array([rename[v] for v in range(1, len(rename) + 1)]) - 1
 
 
 @contextmanager
@@ -292,7 +273,7 @@ def _search(
             if with_marginals and log_z != -math.inf:
                 reduced = np.empty(out.model[0])
                 for c, (_, part) in zip(components, parts):
-                    reduced[np.array(sorted(c.variables)) - 1] = part
+                    reduced[np.array(c.variables) - 1] = part
         if not with_marginals or log_z == -math.inf:
             return log_z, None
         return log_z, _lift(out, model[0], reduced)
@@ -300,24 +281,12 @@ def _search(
     def solve_component(model: BareModel) -> _Result:
         if cache is None:
             return expand(model)
-        rename: dict[int, int] = {}
-        key = canonical_key(model, _rename=rename)
+        key = canonical_key(model)
         hit = cache.get(key)
         if hit is not None:
             stats.cache_hits += 1
-            log_z, canonical = hit
-            if canonical is None:
-                return hit
-            return log_z, canonical[_permutation(rename)]
-        value = expand(model)
-        log_z, marginals = value
-        if marginals is None:
-            cache[key] = value
-        else:
-            canonical = np.empty_like(marginals)
-            canonical[_permutation(rename)] = marginals
-            cache[key] = (log_z, canonical)
-        stats.cache_entries = len(cache)
+            return hit
+        value = cache[key] = expand(model)
         return value
 
     def expand(model: BareModel) -> _Result:
@@ -358,6 +327,8 @@ def _search(
 
     with _recursion_room():
         log_z, marginals = solve(m)
+    if cache is not None:
+        stats.cache_entries = len(cache)
     return ExactResult(log_z, stats, marginals)
 
 

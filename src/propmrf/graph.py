@@ -19,9 +19,10 @@ from .model import BareModel, PropMRF, compact_bare, to_bare
 
 @dataclass(frozen=True)
 class Component:
-    """One connected component: its original variables and a compacted submodel."""
+    """One connected component: its original variables, ascending, and its
+    submodel compacted to 1..k in that order (variable i is variables[i - 1])."""
 
-    variables: frozenset[int]
+    variables: tuple[int, ...]
     model: BareModel
 
 
@@ -48,9 +49,10 @@ def primal_adjacency(m: BareModel) -> dict[int, set[int]]:
 def connected_components(m: BareModel) -> list[Component]:
     """Split m along its primal graph; components are ordered by smallest variable.
 
-    Each component model is renumbered over its own variables, so the
-    partition function of m (when every declared variable occurs in a clause)
-    is the product of the component partition functions.  A model that is a
+    Each component model is renumbered to 1..k over its own variables in
+    ascending order, so the partition function of m (when every declared
+    variable occurs in a clause) is the product of the component partition
+    functions.  A model that is a
     single component over all its variables is returned as it is.
     """
     num_vars, hard, soft = m
@@ -81,7 +83,7 @@ def connected_components(m: BareModel) -> list[Component]:
     if len(members) == 1:
         (variables,) = members.values()
         if len(variables) == num_vars:
-            return [Component(frozenset(variables), m)]
+            return [Component(tuple(variables), m)]
     elif not members:
         return []
 
@@ -93,7 +95,7 @@ def connected_components(m: BareModel) -> list[Component]:
         by_root_soft[parent[abs(min(sc[0]))]].append(sc)
     return [
         Component(
-            frozenset(variables),
+            tuple(variables),
             compact_bare(by_root_hard[root], by_root_soft[root], variables),
         )
         for root, variables in members.items()

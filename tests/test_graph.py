@@ -50,8 +50,8 @@ def test_connected_components_split_and_compaction():
     )
     components = connected_components(to_bare(m))
     assert [c.variables for c in components] == [
-        frozenset({1, 3, 5}),
-        frozenset({2, 6}),
+        (1, 3, 5),
+        (2, 6),
     ]
     first, second = components
     assert first.model == to_bare(
@@ -63,12 +63,12 @@ def test_connected_components_split_and_compaction():
 def test_single_component_renumbering_and_fast_path():
     # An unused variable still forces renumbering.
     (component,) = connected_components(to_bare(PropMRF.from_lists(3, hard=[[1, 3]])))
-    assert component.variables == frozenset({1, 3})
+    assert component.variables == (1, 3)
     assert component.model == to_bare(PropMRF.from_lists(2, hard=[[1, 2]]))
     # An already compact single component comes back as it is.
     bare = to_bare(PropMRF.from_lists(3, hard=[[1, -3]], soft=[(0.5, [2, 3])]))
     (component,) = connected_components(bare)
-    assert component.variables == frozenset({1, 2, 3})
+    assert component.variables == (1, 2, 3)
     assert component.model is bare
 
 
