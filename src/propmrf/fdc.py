@@ -217,8 +217,8 @@ def _lift(out: SimplifyOutcome, num_vars: int, reduced: np.ndarray | None) -> np
     """Marginals of the model simplify() was given, from those of its reduced
     model: forced variables are certain and swept variables are fair coins."""
     marginals = np.full(num_vars, 0.5)
-    for v, value in out.assignment.items():
-        marginals[v - 1] = 1.0 if value else 0.0
+    for lit in out.forced:
+        marginals[abs(lit) - 1] = 1.0 if lit > 0 else 0.0
     if out.variables:
         marginals[np.array(out.variables) - 1] = reduced
     return marginals
@@ -264,18 +264,13 @@ def _search(
                 return out.log_weight, None
             return out.log_weight, _lift(out, model[0], None)
         components = connected_components(out.model)
-        if len(components) == 1:
-            z_component, reduced = solve_component(out.model)
-            log_z = out.log_weight + z_component
-        else:
-            parts = [solve_component(c.model) for c in components]
-            log_z = out.log_weight + sum(part[0] for part in parts)
-            if with_marginals and log_z != -math.inf:
-                reduced = np.empty(out.model[0])
-                for c, (_, part) in zip(components, parts):
-                    reduced[np.array(c.variables) - 1] = part
+        parts = [solve_component(c.model) for c in components]
+        log_z = out.log_weight + sum(part[0] for part in parts)
         if not with_marginals or log_z == -math.inf:
             return log_z, None
+        reduced = np.empty(out.model[0])
+        for c, (_, part) in zip(components, parts):
+            reduced[np.array(c.variables) - 1] = part
         return log_z, _lift(out, model[0], reduced)
 
     def solve_component(model: BareModel) -> _Result:

@@ -16,13 +16,14 @@ the estimates over independent draws is unbiased for the partition function.
 The sampling entry points take a validated PropMRF and convert it once,
 with model.to_bare, to the bare form of model.BareModel (frozensets of
 literals in a plain tuple).  The formula sampler's draws share a prefix tree
-(see _FormulaSampler): each prefix is unit propagated once
-(sat.unit_propagate), and both the SAT checks of the next step
-(sat.is_satisfiable) and the belief propagation proposal start from that
-state, not from the hard clauses.  The hard-only counting models handed to
-fdc_count and fdc_marginals list the hard clauses, then per step the step's
-clause if it was drawn true or the negations of its literals, in
-literal_key order, if false.
+(see _FormulaSampler): each prefix is unit propagated once, and its state
+is what sat.unit_propagate returns, the forced literals and the residual
+clauses.  Both the SAT checks of the next step (sat.is_satisfiable) and the
+belief propagation proposal start from that state, not from the hard
+clauses.  The hard-only counting models handed to fdc_count and
+fdc_marginals list the hard clauses, then per step the step's clause if it
+was drawn true or the negations of its literals, in literal_key order, if
+false.
 
 The variable sampler draws each variable independently from a per-variable
 Bernoulli proposal and weights assignments by potential over proposal mass;
@@ -154,21 +155,11 @@ def estimate_from_log_weights(log_weights: np.ndarray) -> Estimate:
     return Estimate(log_z_hat, n, variance, std_error)
 
 
-def _residual(
-    clauses: Sequence[BareClause], true: set[int], false: set[int]
-) -> list[BareClause]:
-    """The clauses that true leaves open, with the literals of false removed."""
-    return [
-        c - false if not c.isdisjoint(false) else c
-        for c in clauses
-        if true.isdisjoint(c)
-    ]
-
-
 _State = tuple[set[int], set[int], list[BareClause]]
-"""A satisfiable prefix, propagated: (forced true literals, their
-negations, residual clauses).  The residual clauses mention no forced
-variable, and each keeps at least two literals."""
+"""A satisfiable prefix, propagated: sat.unit_propagate's (forced true
+literals, their negations, residual clauses), the forced sets accumulated
+over the prefix's steps.  The residual clauses mention no forced variable,
+and each keeps at least two literals."""
 
 
 def _extend(state: _State, extension: Sequence[BareClause]) -> _State | None:
@@ -185,11 +176,10 @@ def _extend(state: _State, extension: Sequence[BareClause]) -> _State | None:
     if not reduced:
         return state
     clauses = [*reduced, *residual]
-    forced = unit_propagate(clauses)
-    if forced is None:
+    propagated = unit_propagate(clauses)
+    if propagated is None:
         return None
-    new_true, new_false = forced
-    residual = _residual(clauses, new_true, new_false)
+    new_true, new_false, residual = propagated
     if residual and not is_satisfiable(residual):
         return None
     if new_true:
@@ -243,8 +233,7 @@ class _FormulaSampler:
             units = tuple(frozenset((-l,)) for l in sorted(clause, key=literal_key))
             self._extensions.append((units, (clause,)))
         # The hard clauses were checked satisfiable at the sampler's entry.
-        true, false = unit_propagate(self.hard)
-        self.root = _Node((true, false, _residual(self.hard, true, false)))
+        self.root = _Node(unit_propagate(self.hard))
 
     def _expand(
         self, node: _Node, pos: int, values: Sequence[bool]
@@ -421,7 +410,7 @@ def run_fis(
             for k in range(jobs)
             if counts[k] > 0
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             samples = tuple(
                 Sample(FormulaAssignment(values), qb, count, weight)
                 for chunk in pool.map(_fis_chunk, tasks)
@@ -489,7 +478,7 @@ def run_vis(
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (m.num_vars,):
             raise ValueError("q must hold one probability per variable")
-        if np.any(q <= 0.0) or np.any(q >= 1.0):
+        if not np.all((q > 0.0) & (q < 1.0)):
             raise ValueError("q entries must lie strictly inside (0, 1)")
     rng = np.random.default_rng(seed)
     assignments = rng.random((n_samples, m.num_vars)) < q

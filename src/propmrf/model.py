@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 Literal = int
-Assignment = dict[int, bool]
 
 
 def literal_key(lit: Literal) -> tuple[int, bool]:

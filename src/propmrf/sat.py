@@ -2,7 +2,11 @@
 
 Both work on bare clauses (model.BareClause): frozensets of DIMACS literals,
 which must not be tautologies.  unit_propagate is the package's one
-propagator; simplify, the solver below and the formula sampler all call it.
+propagate-and-reduce step: it returns the forced literals together with the
+residual formula, the open clauses with their false literals removed.
+simplify, the solver below and the formula sampler all call it and work on
+that residual.
+
 The solver branches on the lowest-index unassigned variable, trying true
 first, and keeps its open branches on an explicit stack, so its depth is not
 bounded by Python's recursion limit.  Clause learning is deliberately out of
@@ -18,17 +22,21 @@ from .model import BareClause
 
 def unit_propagate(
     clauses: Sequence[BareClause],
-) -> tuple[set[int], set[int]] | None:
-    """The literals that unit propagation forces, to fixpoint.
+) -> tuple[set[int], set[int], list[BareClause]] | None:
+    """Unit propagation to fixpoint and the residual formula it leaves.
 
-    Returns (true, false): the forced literals and their negations, or None
-    when some clause is falsified.  The fixpoint, and whether a conflict is
-    reached, do not depend on the order in which clauses are visited.
+    Returns (true, false, residual): the forced literals, their negations,
+    and the clauses that true leaves open with the literals of false
+    removed, in input order; or None when some clause is falsified.  Each
+    residual clause keeps at least two literals and mentions no forced
+    variable.  The fixpoint, and whether a conflict is reached, do not
+    depend on the order in which clauses are visited.
     """
     true: set[int] = set()
     false: set[int] = set()
     pending = clauses
-    while pending:
+    forced = True
+    while forced:
         open_: list[BareClause] = []
         forced = False
         for clause in pending:
@@ -36,7 +44,7 @@ def unit_propagate(
                 continue
             rest = clause - false if not clause.isdisjoint(false) else clause
             if len(rest) > 1:
-                open_.append(clause)
+                open_.append(rest)
             elif not rest:
                 return None
             else:
@@ -44,25 +52,22 @@ def unit_propagate(
                 true.add(lit)
                 false.add(-lit)
                 forced = True
-        pending = open_ if forced else ()
-    return true, false
+        pending = open_
+    return true, false, pending
 
 
 def is_satisfiable(clauses: Sequence[BareClause]) -> bool:
     """DPLL satisfiability of a clause conjunction.
 
-    Each open branch is the residual formula of its parent (clauses not yet
-    satisfied, with false literals removed) behind the branch's decision
-    literal as a unit clause.
+    Each open branch is the residual formula of its parent behind the
+    branch's decision literal as a unit clause.
     """
     stack: list[Sequence[BareClause]] = [clauses]
     while stack:
-        formula = stack.pop()
-        forced = unit_propagate(formula)
-        if forced is None:
+        propagated = unit_propagate(stack.pop())
+        if propagated is None:
             continue
-        true, false = forced
-        residual = [c - false for c in formula if true.isdisjoint(c)]
+        residual = propagated[2]
         if not residual:
             return True
         var = min(abs(lit) for c in residual for lit in c)

@@ -13,9 +13,10 @@ treated the same way.  Falsified soft clauses contribute potential 1 and are
 dropped without weight.  Each unconstrained, unassigned variable contributes
 ln 2.  The reduced model is renumbered over its surviving variables, so the
 identity above holds with Z computed on the reduced model alone.  The
-outcome also records the forced assignment and the surviving variables, so
-results on the reduced model can be mapped back: variable i of the reduced
-model is variables[i - 1] of the original.
+outcome also records the forced true literals and the surviving variables,
+so results on the reduced model can be mapped back: a forced variable takes
+its literal's value, and variable i of the reduced model is variables[i - 1]
+of the original.
 
 One pass reaches the fixpoint: after propagation every open hard clause
 keeps at least two unassigned literals, so nothing is left to force, and
@@ -23,18 +24,20 @@ dropping subsumed hard clauses cannot let a new one subsume a soft clause.
 
 simplify takes and returns the search's bare form (model.BareModel), which
 the search's entry points build once with model.to_bare: clauses are
-frozensets of literals, a set of true literals is the assignment, and
-subsumption is <= on frozensets.  Propagation is sat.unit_propagate, the
-propagator the SAT solver and the formula sampler share.
+frozensets of literals and subsumption is <= on frozensets.  Propagation and
+the reduction of the hard clauses are sat.unit_propagate, the step the SAT
+solver and the formula sampler share; its residual is the reduced hard
+formula.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import AbstractSet
 
-from .model import Assignment, BareModel, compact_bare
+from .model import BareModel, compact_bare
 from .sat import unit_propagate
 
 LN2 = math.log(2.0)
@@ -53,26 +56,17 @@ class SimplifyOutcome:
     model: BareModel
     log_weight: float
     status: SimplifyStatus
-    assignment: Assignment = field(default_factory=dict)
+    forced: AbstractSet[int] = frozenset()
     variables: tuple[int, ...] = ()
 
 
 def simplify(m: BareModel) -> SimplifyOutcome:
     num_vars, hard, soft = m
 
-    forced = unit_propagate(hard)
-    if forced is None:
+    propagated = unit_propagate(hard)
+    if propagated is None:
         return SimplifyOutcome(_EMPTY, float("-inf"), SimplifyStatus.ZERO)
-    true, false = forced
-
-    if true:
-        reduced_hard = [
-            clause - false if not clause.isdisjoint(false) else clause
-            for clause in hard
-            if true.isdisjoint(clause)
-        ]
-    else:
-        reduced_hard = hard
+    true, false, reduced_hard = propagated
 
     log_weight = 0.0
     reduced_soft = []
@@ -107,14 +101,13 @@ def simplify(m: BareModel) -> SimplifyOutcome:
     for _ in range(num_vars - len(true) - len(occurring)):
         log_weight += LN2
 
-    assignment = {abs(lit): lit > 0 for lit in true}
     if not literals:
-        return SimplifyOutcome(_EMPTY, log_weight, SimplifyStatus.SCALAR, assignment)
+        return SimplifyOutcome(_EMPTY, log_weight, SimplifyStatus.SCALAR, true)
     variables = sorted(occurring)
     return SimplifyOutcome(
         compact_bare(kept, reduced_soft, variables),
         log_weight,
         SimplifyStatus.OPEN,
-        assignment,
+        true,
         tuple(variables),
     )

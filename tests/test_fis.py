@@ -164,6 +164,32 @@ def test_run_fis_parallel_jobs_are_deterministic():
     assert len(a.samples) == 40
 
 
+def test_run_fis_starts_no_more_workers_than_tasks(monkeypatch):
+    m = PropMRF.from_lists(2, soft=[(0.5, [1, 2]), (-0.3, [-1])])
+    pooled = run_fis(m, 2, seed=4, jobs=3)
+    pools = []
+
+    class RecordingPool:
+        """Runs the tasks in this process and records the pool size."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, list(tasks))
+
+    monkeypatch.setattr("propmrf.fis.ProcessPoolExecutor", RecordingPool)
+    recorded = run_fis(m, 2, seed=4, jobs=3)
+    assert pools == [2]
+    assert recorded.samples == pooled.samples
+
+
 def test_custom_proposal_rejected_with_multiple_jobs():
     m = PropMRF.from_lists(2, soft=[(0.5, [1, 2])])
     with pytest.raises(ValueError):
@@ -194,6 +220,9 @@ def test_sampling_guards():
         run_vis(ok, 10, q=np.array([0.0]))
     with pytest.raises(ValueError):
         run_vis(ok, 10, q=np.array([0.5, 0.5]))
+    two = PropMRF.from_lists(2, soft=[(0.5, [1, 2])])
+    with pytest.raises(ValueError):
+        run_vis(two, 10, q=np.array([np.nan, 0.5]))
 
 
 def test_estimate_from_log_weights_statistics():

@@ -20,9 +20,13 @@ def brute_satisfiable(clauses, n):
 
 
 def test_unit_propagation_chain():
-    assert unit_propagate(bare([1], [-1, 2], [-2, 3])) == ({1, 2, 3}, {-1, -2, -3})
+    assert unit_propagate(bare([1], [-1, 2], [-2, 3])) == ({1, 2, 3}, {-1, -2, -3}, [])
     # the fixpoint does not depend on the clause order
-    assert unit_propagate(bare([-2, 3], [-1, 2], [1])) == ({1, 2, 3}, {-1, -2, -3})
+    assert unit_propagate(bare([-2, 3], [-1, 2], [1])) == ({1, 2, 3}, {-1, -2, -3}, [])
+    # the residual keeps the open clauses, reduced, in input order
+    clauses = bare([4, 5], [1], [-1, 2, 3], [-2, -3, 4], [2, -1])
+    # 1 forces 2; [-1, 2, 3] is then satisfied and [-2, -3, 4] loses -2
+    assert unit_propagate(clauses) == ({1, 2}, {-1, -2}, bare([4, 5], [-3, 4]))
 
 
 def test_unit_propagation_reports_a_conflict():
@@ -31,8 +35,8 @@ def test_unit_propagation_reports_a_conflict():
 
 
 def test_unit_propagation_leaves_wide_clauses_alone():
-    assert unit_propagate(bare([1, 2, 3])) == (set(), set())
-    assert unit_propagate([]) == (set(), set())
+    assert unit_propagate(bare([1, 2, 3])) == (set(), set(), bare([1, 2, 3]))
+    assert unit_propagate([]) == (set(), set(), [])
 
 
 def test_is_satisfiable_simple_cases():
@@ -57,6 +61,15 @@ def test_is_satisfiable_matches_enumeration():
             random_clause(rng, n).literals for _ in range(int(rng.integers(0, 7)))
         ]
         assert is_satisfiable(clauses) == brute_satisfiable(clauses, n)
+        propagated = unit_propagate(clauses)
+        if propagated is None:
+            continue
+        true, false, residual = propagated
+        assert residual == [c - false for c in clauses if true.isdisjoint(c)]
+        forced_vars = {abs(lit) for lit in true}
+        for c in residual:
+            assert len(c) >= 2
+            assert forced_vars.isdisjoint(abs(lit) for lit in c)
 
 
 def test_is_satisfiable_does_not_recurse():

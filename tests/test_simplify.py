@@ -130,3 +130,5 @@ def test_open_outcome_has_no_units_and_no_free_variables():
         assert all(len(c) > 1 for c in hard)
         occurring = {abs(lit) for c in (*hard, *(c for c, _ in soft)) for lit in c}
         assert occurring == set(range(1, num_vars + 1))
+        # forced variables are assigned, not carried into the reduced model
+        assert {abs(lit) for lit in out.forced}.isdisjoint(out.variables)
