@@ -214,13 +214,18 @@ def sum_kld(
     """Sum over variables of KL(exact_v || estimated_v) for the two-point
     marginal distributions.  Estimated entries are clamped to [eps, 1 - eps];
     exact entries of 0 or 1 contribute through the surviving term only.
+    Raises ValueError when an exact entry lies outside [0, 1] or an
+    estimated one is NaN.
     """
     p = np.asarray(exact, dtype=np.float64)
-    q = np.clip(np.asarray(estimated, dtype=np.float64), eps, 1.0 - eps)
+    q = np.asarray(estimated, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError("marginal vectors must have the same shape")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("exact marginals must lie in [0, 1]")
+    if np.any(np.isnan(q)):
+        raise ValueError("estimated marginals must not be NaN")
+    q = np.clip(q, eps, 1.0 - eps)
     total = 0.0
     pos = p > 0.0
     total += float(np.sum(p[pos] * np.log(p[pos] / q[pos])))

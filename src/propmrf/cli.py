@@ -5,11 +5,11 @@ JSON report (sorted keys, two-space indent) to stdout, or writes it with
 --output.  Reports are byte-identical across runs with equal arguments and
 seeds except for the elapsed_seconds field.
 
-Exit codes: 0 success, 2 bad usage or invalid argument values, 3 missing
-input file, 4 model or query parse error, 5 instance exceeds a size or width
-limit, 6 degenerate computation (zero partition function, unsatisfiable hard
-clauses, all-zero sample weights, collapsed beliefs), 7 unexpected internal
-error.
+Exit codes: 0 success, 2 bad usage or invalid argument values, 3 an input
+file cannot be read or an output file cannot be written, 4 model, query or
+marginal file parse error, 5 instance exceeds a size or width limit, 6
+degenerate computation (zero partition function, unsatisfiable hard clauses,
+all-zero sample weights, collapsed beliefs), 7 unexpected internal error.
 
 Linear-scale result fields (z, z_hat, std_error, sample_variance) are null
 when they lie beyond float range; the log-space fields beside them are
@@ -86,8 +86,16 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except OSError as exc:
         raise _CliError(EXIT_MISSING_FILE, f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _CliError(EXIT_MISSING_FILE, f"cannot write {path}: {exc}") from exc
 
 
 def _load_model(path: str) -> PropMRF:
@@ -119,8 +127,7 @@ def _emit(report: dict, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(output, text)
 
 
 def _linear(value: float) -> float | None:
@@ -369,8 +376,7 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
         m = generate(spec)
     except (KeyError, ValueError) as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    with open(args.model_output, "w", encoding="utf-8") as handle:
-        handle.write(write_model(m))
+    _write_text(args.model_output, write_model(m))
     return {
         "command": "gen",
         "family": args.family,
@@ -415,9 +421,9 @@ def _cmd_eval(args: argparse.Namespace) -> dict:
             EXIT_USAGE,
             f"marginal files disagree on length: {exact.size} vs {estimated.size}",
         )
-    if np.any(exact < 0.0) or np.any(exact > 1.0):
+    if not np.all((exact >= 0.0) & (exact <= 1.0)):
         raise _CliError(EXIT_PARSE, f"{args.exact}: probabilities must lie in [0, 1]")
-    if np.any(estimated < 0.0) or np.any(estimated > 1.0):
+    if not np.all((estimated >= 0.0) & (estimated <= 1.0)):
         raise _CliError(
             EXIT_PARSE, f"{args.estimated}: probabilities must lie in [0, 1]"
         )
@@ -511,6 +517,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = args.handler(args)
+        report["elapsed_seconds"] = round(time.perf_counter() - started, 6)
+        _emit(report, getattr(args, "output", None))
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -533,8 +541,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    report["elapsed_seconds"] = round(time.perf_counter() - started, 6)
-    _emit(report, getattr(args, "output", None))
     return EXIT_OK
 
 

@@ -23,7 +23,10 @@ belief propagation proposal start from that state, not from the hard
 clauses.  The hard-only counting models handed to fdc_count and
 fdc_marginals list the hard clauses, then per step the step's clause if it
 was drawn true or the negations of its literals, in literal_key order, if
-false.
+false.  Every draw goes through _draws, in this process for jobs=1 and in
+each worker otherwise; a worker gets the bare model, the step order and the
+BP proposal, and returns its Samples.  A custom proposal is not sent to the
+workers, so run_fis refuses it with jobs > 1.
 
 The variable sampler draws each variable independently from a per-variable
 Bernoulli proposal and weights assignments by potential over proposal mass;
@@ -32,6 +35,7 @@ assignments violating a hard clause get weight zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -76,8 +80,6 @@ class Sample:
 
     @property
     def log_estimate(self) -> float:
-        if self.log_count == -math.inf:
-            return -math.inf
         return self.log_count + self.log_soft_weight - math.log(self.qb)
 
 
@@ -199,6 +201,32 @@ class _Node:
         self.sample: Sample | None = None
 
 
+_Extensions = list[tuple[tuple[BareClause, ...], tuple[BareClause, ...]]]
+
+
+def _step_extensions(m: BareModel, order: Sequence[int]) -> _Extensions:
+    """Per step, indexed by its value: the negation of each literal of the
+    step's clause, in literal_key order, when false; the clause itself when
+    true."""
+    extensions = []
+    for j in order:
+        clause = m[2][j][0]
+        units = tuple(frozenset((-l,)) for l in sorted(clause, key=literal_key))
+        extensions.append((units, (clause,)))
+    return extensions
+
+
+def _counting_model(
+    m: BareModel, extensions: _Extensions, values: Sequence[bool]
+) -> BareModel:
+    """The hard-only model whose solutions complete the formula assignment."""
+    num_vars, hard, _ = m
+    clauses = list(hard)
+    for extension, value in zip(extensions, values):
+        clauses.extend(extension[value])
+    return (num_vars, tuple(clauses), ())
+
+
 _NodeProposal = Callable[[int, tuple[bool, ...], set[int]], float]
 """The sampler's proposal form: (step index, values of earlier steps, the
 literals that those values and the hard clauses force true) to P(true)."""
@@ -222,18 +250,12 @@ class _FormulaSampler:
     """
 
     def __init__(self, m: BareModel, soft_steps: Sequence[int], proposal: _NodeProposal):
-        self.num_vars, self.hard, self.soft = m
+        self.model = m
         self.proposal = proposal
-        self.soft_steps = list(soft_steps)
-        # Per step, indexed by its value: the negation of each literal in
-        # literal_key order when false, the clause itself when true.
-        self._extensions = []
-        for j in self.soft_steps:
-            clause = self.soft[j][0]
-            units = tuple(frozenset((-l,)) for l in sorted(clause, key=literal_key))
-            self._extensions.append((units, (clause,)))
+        self.soft_steps = soft_steps
+        self._extensions = _step_extensions(m, soft_steps)
         # The hard clauses were checked satisfiable at the sampler's entry.
-        self.root = _Node(unit_propagate(self.hard))
+        self.root = _Node(unit_propagate(m[1]))
 
     def _expand(
         self, node: _Node, pos: int, values: Sequence[bool]
@@ -262,22 +284,15 @@ class _FormulaSampler:
             )
         return node.branches
 
-    def counting_model(self, values: Sequence[bool]) -> BareModel:
-        """The hard-only model whose solutions complete the formula assignment."""
-        hard = list(self.hard)
-        for pos, value in enumerate(values):
-            hard.extend(self._extensions[pos][value])
-        return (self.num_vars, tuple(hard), ())
-
     def _finish(self, leaf: _Node, values: Sequence[bool], qb: float) -> Sample:
+        soft = self.model[2]
+        counting = _counting_model(self.model, self._extensions, values)
         leaf.sample = Sample(
             h=FormulaAssignment(tuple(values)),
             qb=qb,
-            log_count=fdc_count(self.counting_model(values), mode=FORMULA).log_z,
+            log_count=fdc_count(counting, mode=FORMULA).log_z,
             log_soft_weight=sum(
-                self.soft[self.soft_steps[pos]][1]
-                for pos, value in enumerate(values)
-                if value
+                soft[j][1] for j, value in zip(self.soft_steps, values) if value
             ),
         )
         return leaf.sample
@@ -312,18 +327,16 @@ class _FormulaSampler:
         return samples
 
 
-def _bp_formula_proposal(marginals: BpMarginals, soft_steps: Sequence[int]) -> _NodeProposal:
-    """Adapt the factor-belief proposal to step indexing along soft_steps."""
-
-    def proposal(pos: int, values: tuple[bool, ...], true: set[int]) -> float:
-        return formula_proposal(marginals, true, soft_steps[pos])
-
-    return proposal
-
-
-def _prefix_proposal(proposal: Proposal) -> _NodeProposal:
-    """Adapt a proposal of the public (step, values) form."""
-    return lambda pos, values, true: proposal(pos, values)
+def _bp_proposal(
+    marginals: BpMarginals,
+    order: Sequence[int],
+    pos: int,
+    values: tuple[bool, ...],
+    true: set[int],
+) -> float:
+    """The factor-belief proposal at step pos of order; bound to its first
+    two arguments with functools.partial, it pickles for the workers."""
+    return formula_proposal(marginals, true, order[pos])
 
 
 def _validate_sampling_model(m: BareModel) -> None:
@@ -348,21 +361,38 @@ def _resolve_h_order(n_soft: int, h_order: Sequence[int] | None) -> list[int]:
     return order
 
 
-def _fis_chunk(args) -> list[tuple[tuple[bool, ...], float, float, float]]:
-    """Draw and finish one worker's samples.  Each goes back as its fields:
-    pickled Samples are 1.4 times the bytes (500 draws on a qmr model)."""
-    m, h_order, marginals, n_samples, seed_seq = args
-    sampler = _FormulaSampler(m, h_order, _bp_formula_proposal(marginals, h_order))
-    rng = np.random.default_rng(seed_seq)
-    draws = [sampler.draw(rng) for _ in range(n_samples)]
-    return [(s.h.values, s.qb, s.log_count, s.log_soft_weight) for s in draws]
+def _formula_sampling(
+    m: PropMRF,
+    h_order: Sequence[int] | None,
+    proposal: Proposal | None,
+    bp_config: BpConfig,
+) -> tuple[BareModel, tuple[int, ...], _NodeProposal, BpMarginals | None]:
+    """The setup shared by run_fis and enumerate_formula_assignments: the
+    bare model, checked for sampling; the step order; the sampler's
+    proposal; and the BP run behind it, None for a custom proposal."""
+    bare = to_bare(m)
+    _validate_sampling_model(bare)
+    order = tuple(_resolve_h_order(len(m.soft), h_order))
+    if proposal is not None:
+        return bare, order, lambda pos, values, true: proposal(pos, values), None
+    marginals = run_bp(m, bp_config)
+    return bare, order, functools.partial(_bp_proposal, marginals, order), marginals
+
+
+def _draws(args) -> list[Sample]:
+    """n draws on a fresh prefix tree, from a generator seeded by seed (an
+    int or a SeedSequence): run_fis's draws, in this process or a worker's."""
+    bare, order, proposal, n, seed = args
+    sampler = _FormulaSampler(bare, order, proposal)
+    rng = np.random.default_rng(seed)
+    return [sampler.draw(rng) for _ in range(n)]
 
 
 def run_fis(
     m: PropMRF,
     n_samples: int,
     seed: int = 0,
-    bp_config: BpConfig | None = None,
+    bp_config: BpConfig = BpConfig(),
     h_order: Sequence[int] | None = None,
     jobs: int = 1,
     proposal: Proposal | None = None,
@@ -371,56 +401,34 @@ def run_fis(
 
     The clauses are sampled in declaration order unless h_order supplies a
     permutation of the soft clause indices.  The default proposal comes from
-    one belief propagation run on the model; pass proposal to override it
-    (jobs must then be 1, since worker processes rebuild the default).
+    one belief propagation run on the model; pass proposal to override it.
     With jobs > 1 the draws are split across processes, each seeded from an
     independent spawn of the base seed, so results depend on jobs but are
-    reproducible for a given (seed, jobs) pair.
+    reproducible for a given (seed, jobs) pair.  A custom proposal is not
+    sent to the workers, so it is refused with jobs > 1.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    bare = to_bare(m)
-    _validate_sampling_model(bare)
-    order = _resolve_h_order(len(m.soft), h_order)
-
     if proposal is not None and jobs > 1:
         raise ValueError("a custom proposal cannot be used with jobs > 1")
-
-    marginals: BpMarginals | None = None
-    if proposal is None:
-        if bp_config is None:
-            bp_config = BpConfig()
-        marginals = run_bp(m, bp_config)
-        node_proposal = _bp_formula_proposal(marginals, order)
-    else:
-        node_proposal = _prefix_proposal(proposal)
+    bare, order, node_proposal, marginals = _formula_sampling(m, h_order, proposal, bp_config)
 
     if jobs == 1:
-        sampler = _FormulaSampler(bare, order, node_proposal)
-        rng = np.random.default_rng(seed)
-        samples = tuple(sampler.draw(rng) for _ in range(n_samples))
+        samples = tuple(_draws((bare, order, node_proposal, n_samples, seed)))
     else:
         seqs = np.random.SeedSequence(seed).spawn(jobs)
         base, extra = divmod(n_samples, jobs)
         counts = [base + (1 if k < extra else 0) for k in range(jobs)]
-        tasks = [
-            (bare, tuple(order), marginals, counts[k], seqs[k])
-            for k in range(jobs)
-            if counts[k] > 0
-        ]
+        tasks = [(bare, order, node_proposal, n, s) for n, s in zip(counts, seqs) if n]
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            samples = tuple(
-                Sample(FormulaAssignment(values), qb, count, weight)
-                for chunk in pool.map(_fis_chunk, tasks)
-                for values, qb, count, weight in chunk
-            )
+            samples = tuple(s for chunk in pool.map(_draws, tasks) for s in chunk)
     log_weights = np.array([s.log_estimate for s in samples])
     return FisResult(
         model=m,
         h_clauses=tuple(m.soft[j].clause for j in order),
-        h_order=tuple(order),
+        h_order=order,
         samples=samples,
         estimate=estimate_from_log_weights(log_weights),
         bp=marginals,
@@ -459,7 +467,7 @@ def run_vis(
     m: PropMRF,
     n_samples: int,
     seed: int = 0,
-    bp_config: BpConfig | None = None,
+    bp_config: BpConfig = BpConfig(),
     q: np.ndarray | None = None,
 ) -> VisResult:
     """Draw variable assignments from a fully factorized proposal and
@@ -470,8 +478,6 @@ def run_vis(
     _validate_sampling_model(to_bare(m))
     marginals: BpMarginals | None = None
     if q is None:
-        if bp_config is None:
-            bp_config = BpConfig()
         marginals = run_bp(m, bp_config)
         q = variable_proposal(marginals)
     else:
@@ -497,7 +503,7 @@ def enumerate_formula_assignments(
     m: PropMRF,
     proposal: Proposal | None = None,
     h_order: Sequence[int] | None = None,
-    bp_config: BpConfig | None = None,
+    bp_config: BpConfig = BpConfig(),
 ) -> list[Sample]:
     """Every reachable formula assignment with its exact draw probability.
 
@@ -505,17 +511,8 @@ def enumerate_formula_assignments(
     expectations of the estimator (mean, variance) can be computed without
     sampling.  Intended for small models.
     """
-    bare = to_bare(m)
-    _validate_sampling_model(bare)
-    order = _resolve_h_order(len(m.soft), h_order)
-    if proposal is None:
-        if bp_config is None:
-            bp_config = BpConfig()
-        marginals = run_bp(m, bp_config)
-        sampler = _FormulaSampler(bare, order, _bp_formula_proposal(marginals, order))
-    else:
-        sampler = _FormulaSampler(bare, order, _prefix_proposal(proposal))
-    return sampler.enumerate()
+    bare, order, node_proposal, _ = _formula_sampling(m, h_order, proposal, bp_config)
+    return _FormulaSampler(bare, order, node_proposal).enumerate()
 
 
 @dataclass(frozen=True)
@@ -588,30 +585,21 @@ def fis_marginals(result: FisResult) -> np.ndarray:
     the sampled formula's solutions that set v true; the fractions come from
     one fdc_marginals search per distinct formula assignment.
     """
-    m = result.model
+    bare = to_bare(result.model)
+    extensions = _step_extensions(bare, result.h_order)
     log_weights = np.array([s.log_estimate for s in result.samples])
-    shift = float(np.max(log_weights))
-    if shift == -math.inf:
-        raise AllZeroWeightsError("all formula samples have zero weight")
-    weights = np.exp(log_weights - shift)
-
-    sampler = _FormulaSampler(to_bare(m), result.h_order, lambda pos, values, true: 0.5)
+    weights = np.exp(log_weights - np.max(log_weights))
     ratio_cache: dict[tuple[bool, ...], np.ndarray] = {}
     total_weight = 0.0
-    accum = np.zeros(m.num_vars)
+    accum = np.zeros(bare[0])
     for sample, weight in zip(result.samples, weights):
         values = sample.h.values
         ratios = ratio_cache.get(values)
         if ratios is None:
-            ratios = np.zeros(m.num_vars)
-            if sample.log_count != -math.inf:
-                counting = sampler.counting_model(values)
-                ratios = fdc_marginals(counting, mode=FORMULA).marginals
-            ratio_cache[values] = ratios
+            counting = _counting_model(bare, extensions, values)
+            ratios = ratio_cache[values] = fdc_marginals(counting, mode=FORMULA).marginals
         total_weight += weight
         accum += weight * ratios
-    if total_weight <= 0.0:
-        raise AllZeroWeightsError("all formula samples have zero weight")
     return np.clip(accum / total_weight, 0.0, 1.0)
 
 

@@ -93,19 +93,28 @@ def _aligned(factor: Factor, axis: dict[int, int], ndim: int) -> np.ndarray:
     return np.transpose(factor.table, src_axes).reshape(shape)
 
 
-def _multiply(f: Factor, g: Factor, max_width: int) -> Factor:
-    scope = tuple(sorted(set(f.scope) | set(g.scope)))
+def _product(factors: Sequence[Factor], max_width: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The union of the factors' scopes and their product (log sum) over it,
+    in a new table."""
+    if len(factors) == 1:
+        return factors[0].scope, factors[0].table.copy()
+    scope = tuple(sorted({v for f in factors for v in f.scope}))
     if len(scope) > max_width:
         raise VeWidthError(len(scope), max_width)
-    axis = {v: i for i, v in enumerate(scope)}
-    return Factor(scope, _aligned(f, axis, len(scope)) + _aligned(g, axis, len(scope)))
+    axis = {v: a for a, v in enumerate(scope)}
+    table = np.zeros((2,) * len(scope))
+    for f in factors:
+        table += _aligned(f, axis, len(scope))
+    return scope, table
 
 
-def _sum_out(f: Factor, var: int) -> Factor:
-    axis = f.scope.index(var)
-    table = np.logaddexp.reduce(f.table, axis=axis)
-    scope = f.scope[:axis] + f.scope[axis + 1 :]
-    return Factor(scope, table)
+def _log_sum_to(
+    table: np.ndarray, scope: Sequence[int], keep: Sequence[int]
+) -> np.ndarray:
+    """Log-sum-exp of table, whose axes hold scope's variables, over every
+    variable not in keep, as a new array."""
+    drop = tuple(a for a, v in enumerate(scope) if v not in keep)
+    return np.logaddexp.reduce(table, axis=drop) if drop else table.copy()
 
 
 def _eliminate(
@@ -134,10 +143,9 @@ def _eliminate(
         if not bucket:
             constant += LN2
             continue
-        product = bucket[0]
-        for f in bucket[1:]:
-            product = _multiply(f, product, max_width)
-        summed = _sum_out(product, v)
+        scope, table = _product(bucket, max_width)
+        kept = tuple(u for u in scope if u != v)
+        summed = Factor(kept, _log_sum_to(table, scope, kept))
         if not summed.scope:
             constant += float(summed.table)
         else:
@@ -155,12 +163,6 @@ def bucket_elimination(
     the order touched by no factor each contribute ln 2.
     """
     return _eliminate(factors, order, max_width)[0]
-
-
-def _log_sum_to(table: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Log-sum-exp of table over every axis not in keep, as a new array."""
-    drop = tuple(a for a in range(table.ndim) if a not in keep)
-    return np.logaddexp.reduce(table, axis=drop) if drop else table.copy()
 
 
 def bucket_tree(
@@ -187,14 +189,11 @@ def bucket_tree(
         buckets[j] = []
         if not bucket:
             continue
-        scope = tuple(sorted({v for f in bucket for v in f.scope}))
-        axis = {v: a for a, v in enumerate(scope)}
-        belief = np.zeros((2,) * len(scope))
-        for f in bucket:
-            belief += _aligned(f, axis, len(scope))
         if j in down:
-            belief += _aligned(down.pop(j), axis, len(scope))
-        pair = _log_sum_to(belief, (axis[order[j]],))
+            bucket.append(down.pop(j))
+        scope, belief = _product(bucket, max_width)
+        axis = {v: a for a, v in enumerate(scope)}
+        pair = _log_sum_to(belief, scope, (order[j],))
         marginals[j] = math.exp(pair[1] - np.logaddexp(pair[0], pair[1]))
         last = len(children[j]) - 1
         for k, c in enumerate(children[j]):
@@ -206,7 +205,7 @@ def bucket_tree(
             rest = belief if k == last else belief.copy()
             np.subtract(rest, aligned, out=rest, where=finite)
             np.copyto(rest, -math.inf, where=~finite)
-            down[c] = Factor(msg.scope, _log_sum_to(rest, [axis[v] for v in msg.scope]))
+            down[c] = Factor(msg.scope, _log_sum_to(rest, scope, msg.scope))
     return log_z, marginals
 
 

@@ -199,6 +199,10 @@ def test_sum_kld_properties():
         sum_kld(np.array([0.5]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         sum_kld(np.array([1.5]), np.array([0.5]))
+    with pytest.raises(ValueError):
+        sum_kld(np.array([math.nan]), np.array([0.5]))
+    with pytest.raises(ValueError):
+        sum_kld(np.array([0.5]), np.array([math.nan]))
 
 
 def test_generate_dispatcher():

@@ -332,10 +332,35 @@ def test_eval_round_trip(tmp_path, capsys):
     assert code == 4
 
 
+def test_eval_rejects_nan_in_either_file(tmp_path, capsys):
+    clean = tmp_path / "clean.txt"
+    clean.write_text("0.25\n0.5\n")
+    with_nan = tmp_path / "nan.txt"
+    with_nan.write_text("0.25\nnan\n")
+    for files in ([clean, with_nan], [with_nan, clean]):
+        code, out, err = run_cli(["eval", *map(str, files)], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and str(with_nan) in err
+
+
 def test_missing_model_file_exits_3(capsys):
     code, _, err = run_cli(["count", "/nonexistent/model.pmrf"], capsys)
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_unwritable_output_exits_3(mixed_model_file, tmp_path, capsys):
+    path, _ = mixed_model_file
+    target = str(tmp_path / "missing-dir" / "out")
+    for argv in (
+        ["gen", "--family", "random", "--n", "4", "--m", "3", "--s", "2", "--output", target],
+        ["count", path, "--output", target],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
 def test_malformed_model_exits_4(tmp_path, capsys):

@@ -399,11 +399,14 @@ def test_enumeration_of_a_long_forced_chain():
 
 def test_fis_marginals_match_brute_force_per_assignment():
     # Reference: each distinct formula assignment's hard-only model, solved
-    # by enumeration, weighted by the samples' importance weights.
+    # by enumeration, weighted by the samples' importance weights.  Each
+    # model runs in declaration order in this process, and in reversed order
+    # on two workers, which checks that the counting models follow h_order.
     rng = np.random.default_rng(8612)
     models = [_golden_model()] + [sampling_model(rng, max_vars=7, max_soft=5) for _ in range(6)]
-    for k, m in enumerate(models):
-        result = run_fis(m, 200, seed=k)
+    for (k, m), reverse in itertools.product(enumerate(models), (False, True)):
+        h_order = list(reversed(range(len(m.soft)))) if reverse else None
+        result = run_fis(m, 200, seed=k, h_order=h_order, jobs=2 if reverse else 1)
         log_w = np.array([s.log_estimate for s in result.samples])
         weights = np.exp(log_w - log_w.max())
         expected = np.zeros(m.num_vars)
