@@ -10,8 +10,10 @@ the resulting hard formula are counted exactly, and the sample's estimate is
     count * exp(sum of satisfied soft weights) / qb
 
 where qb is the probability the sampling process assigned to the draw (the
-product of the branch probabilities actually used at free steps).  Averaging
-the estimates over independent draws is unbiased for the partition function.
+product of the branch probabilities actually used at free steps).  Where
+that product underflows, the estimate takes log qb as the sum of the
+branches' logs instead.  Averaging the estimates over independent draws is
+unbiased for the partition function.
 
 The sampling entry points take a validated PropMRF and convert it once,
 with model.to_bare, to the bare form of model.BareModel (frozensets of
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -77,10 +80,11 @@ class Sample:
     qb: float
     log_count: float
     log_soft_weight: float
+    log_qb: float  # math.log(qb), or the sum of the branches' logs below normal floats
 
     @property
     def log_estimate(self) -> float:
-        return self.log_count + self.log_soft_weight - math.log(self.qb)
+        return self.log_count + self.log_soft_weight - self.log_qb
 
 
 def _times_exp(x: float, log_scale: float) -> float:
@@ -294,8 +298,19 @@ class _FormulaSampler:
             log_soft_weight=sum(
                 soft[j][1] for j, value in zip(self.soft_steps, values) if value
             ),
+            log_qb=math.log(qb) if qb >= sys.float_info.min else self._log_qb(values),
         )
         return leaf.sample
+
+    def _log_qb(self, values: Sequence[bool]) -> float:
+        """log qb of the path values takes from the root, summed branch by
+        branch, for a qb that has lost precision or underflowed."""
+        node = self.root
+        log_qb = 0.0
+        for value in values:
+            p, node = next((p, child) for v, p, child in node.branches if v == value)
+            log_qb += math.log(p)
+        return log_qb
 
     def draw(self, rng: np.random.Generator) -> Sample:
         node = self.root

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -419,3 +420,22 @@ def test_fis_marginals_match_brute_force_per_assignment():
             expected += weight * brute_force_marginals(PropMRF(m.num_vars, tuple(hard)))
         expected /= weights.sum()
         assert np.all(np.abs(fis_marginals(result) - expected) <= 1e-12)
+
+
+def test_an_underflowed_draw_probability_keeps_its_log():
+    # Drawn from the longest clause down, every true step forces the rest;
+    # the all-false leaf takes 40 free false branches of about 1e-9 each, so
+    # its qb underflows to 0 while its log stays finite.
+    n = 40
+    m = PropMRF.from_lists(n, soft=[(0.5, list(range(i, n + 1))) for i in range(1, n + 1)])
+    samples = enumerate_formula_assignments(
+        m, proposal=lambda pos, values: 1.0, h_order=list(reversed(range(n)))
+    )
+    assert len(samples) == n + 1
+    (all_false,) = [s for s in samples if not any(s.h.values)]
+    assert all_false.qb == 0.0
+    p_false = 1.0 - (1.0 - 1e-9)
+    assert all_false.log_estimate == pytest.approx(-n * math.log(p_false), rel=1e-12)
+    for s in samples:
+        if s.qb >= sys.float_info.min:
+            assert s.log_estimate == s.log_count + s.log_soft_weight - math.log(s.qb)

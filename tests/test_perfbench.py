@@ -13,6 +13,17 @@ import propmrf
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up while it is being executed
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_tracer_wraps_and_restores_every_name(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     before = set(sys.modules)
@@ -36,15 +47,23 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
 def test_workload_references_agree_with_brute_force(monkeypatch):
     """Each workload's reference calls the public API on a PropMRF, as the
     benchmark does; an entry point that stops taking that form fails here."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    # dataclasses looks the module up while it is being executed
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = _load_workloads(monkeypatch)
     m = propmrf.gen_random(8, 6, 3)
     log_z = propmrf.brute_force_z(m)
     for name, workload in workloads.WORKLOADS.items():
         ref = workload.reference(propmrf, m)
         assert abs(ref["log_z"] - log_z) <= 1e-9, name
+
+
+def test_library_minfill_width_matches_the_benchmark_copy(monkeypatch):
+    """The benchmark stratifies instances by its own min-fill copy; the
+    library's width must agree on every exact and search instance."""
+    workloads = _load_workloads(monkeypatch)
+    instances = workloads._exact_instances(propmrf, 1) + workloads._search_instances(
+        propmrf, 1
+    )
+    assert instances
+    for gen_spec in instances:
+        m = propmrf.generate(propmrf.GenSpec(**gen_spec))
+        scopes = [tuple(sorted(c.variables)) for c in m.iter_clauses()]
+        assert propmrf.minfill_width(m).width == workloads._minfill_width(scopes)

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from propmrf import PropMRF, VeWidthError, ve_count
+from propmrf import (
+    PropMRF,
+    VeWidthError,
+    fdc_count,
+    fdc_marginals,
+    gen_random,
+    pick_evidence,
+    ve_count,
+)
 from propmrf.model import to_bare
 from propmrf.ve import (
     Factor,
@@ -146,3 +154,78 @@ def test_bucket_tree_matches_enumeration_with_infinite_entries():
         in_variable_order[np.array(order, dtype=int) - 1] = marginals
         assert np.all(np.abs(in_variable_order - expected) <= 1e-12)
     assert zero > 0
+
+
+# log Z of seeded models as the upward pass gave it before the two-slice
+# sum-out replaced np.logaddexp.reduce: (gen_random n, m, s, seed, evidence
+# fraction), ve_count, fdc_count with VE below width 16.
+_UPWARD_PINS = [
+    ((12, 14, 4, 1, 0.0), "0x1.2774486f051b7p+3", "0x1.2774486f051b7p+3"),
+    ((16, 16, 4, 2, 0.0), "0x1.941cec58fa77ap+3", "0x1.941cec58fa77ap+3"),
+    ((20, 20, 5, 3, 0.1), "0x1.4d78d05368668p+3", "0x1.4d78d05368666p+3"),
+    ((24, 24, 5, 4, 0.0), "0x1.94d83360c3828p+4", "0x1.94d83360c3828p+4"),
+    ((30, 30, 5, 5, 0.0), "0x1.496d61d9fc63cp+4", "0x1.496d61d9fc63cp+4"),
+    ((30, 30, 5, 6, 0.1), "0x1.2c77aac1f0ed8p+4", "0x1.2c77aac1f0ed8p+4"),
+    ((30, 30, 5, 8, 0.0), "0x1.57e14e549bc7ap+4", "0x1.57e14e549bc7ap+4"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, ve_hex, fdc_hex", _UPWARD_PINS, ids=[str(pin[0]) for pin in _UPWARD_PINS]
+)
+def test_upward_pass_is_pinned(spec, ve_hex, fdc_hex):
+    n, m_clauses, size, seed, evidence = spec
+    m = gen_random(n, m_clauses, size, seed=seed)
+    if evidence:
+        m = pick_evidence(m, evidence, seed=seed)
+    assert ve_count(m).hex() == ve_hex
+    assert fdc_count(m, ve_width_threshold=16).log_z.hex() == fdc_hex
+    assert fdc_marginals(m, ve_width_threshold=16).log_z.hex() == fdc_hex
+
+
+@pytest.mark.parametrize("scale", [700.0, 1e4])
+def test_bucket_tree_at_extreme_weights(scale):
+    # Soft tables of +-scale, -inf entries as hard clauses make them, and
+    # whole -inf rows; any overflow or log(0) warning fails the test.  Log
+    # weights near 1e4 carry rounding of about 2e-12 in any order of
+    # summation, so near ties the marginals can only agree to about that.
+    tol = max(1e-12, scale * 1e-15)
+    rng = np.random.default_rng(8304)
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        factors = _random_factors(rng, n)
+        for f in factors:
+            f.table *= scale
+            if f.scope and rng.random() < 0.2:
+                f.table[int(rng.integers(0, 2))] = -math.inf
+        order = [int(v) for v in rng.permutation(n) + 1]
+        expected_z, expected = _enumerate(factors, n)
+        log_z, marginals = bucket_tree(factors, order)
+        if expected_z == -math.inf:
+            assert log_z == -math.inf and marginals is None
+            continue
+        assert log_z == pytest.approx(expected_z, rel=1e-12, abs=1e-12)
+        in_variable_order = np.empty(n)
+        in_variable_order[np.array(order, dtype=int) - 1] = marginals
+        assert np.all(np.abs(in_variable_order - expected) <= tol)
+        checked += 1
+    assert checked > 100
+
+
+def test_min_fill_width_bound_fails_before_any_table(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "propmrf.ve.clauses_to_factors", lambda *args: calls.append(args) or []
+    )
+    grid = PropMRF.from_lists(
+        16,
+        soft=[(0.5, [v, v + 1]) for v in range(1, 16) if v % 4]
+        + [(0.5, [v, v + 4]) for v in range(1, 13)],
+    )
+    with pytest.raises(VeWidthError) as err:
+        ve_count(grid, max_width=4)
+    assert (err.value.width, err.value.bound) == (5, 4)
+    assert calls == []
+    # A model with no clauses builds no table at all.
+    assert ve_count(PropMRF(3), max_width=0) == pytest.approx(3 * math.log(2.0))
