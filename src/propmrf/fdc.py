@@ -25,7 +25,8 @@ fdc_count, fdc_marginals and minimal_search_space take a validated PropMRF
 and convert it once to the bare form of model.BareModel: a clause is the
 frozenset of its literals and a model is a (num_vars, hard, soft) tuple.
 fdc_count and fdc_marginals also take a bare model built from validated
-clauses, which is how the formula sampler hands over its counting models.
+clauses: the formula sampler hands fdc_marginals each leaf's propagated
+state, its forced literals as unit clauses and its residual clauses.
 Every clause the search derives is a subset or an injective renaming of a
 validated one, so nothing inside is validated again.  The layer steps
 (simplify, connected_components, canonical_key, choose_branch_clause,

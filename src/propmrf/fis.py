@@ -22,10 +22,11 @@ literals in a plain tuple).  The formula sampler's draws share a prefix tree
 is what sat.unit_propagate returns, the forced literals and the residual
 clauses.  Both the SAT checks of the next step (sat.is_satisfiable) and the
 belief propagation proposal start from that state, not from the hard
-clauses.  The hard-only counting models handed to fdc_count and
-fdc_marginals list the hard clauses, then per step the step's clause if it
-was drawn true or the negations of its literals, in literal_key order, if
-false.  Every draw goes through _draws, in this process for jobs=1 and in
+clauses.  A leaf's state is also its counting model: one fdc_marginals
+search on the forced true literals as unit clauses plus the residual gives
+the sample's log count and the exact marginals of its formula's solutions,
+which the Sample keeps, so fis_marginals only averages them.  Every draw
+goes through _draws, in this process for jobs=1 and in
 each worker otherwise; a worker gets the bare model, the step order and the
 BP proposal, and returns its Samples.  A custom proposal is not sent to the
 workers, so run_fis refuses it with jobs > 1.
@@ -41,13 +42,14 @@ import functools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bp import BpConfig, BpMarginals, formula_proposal, run_bp, variable_proposal
-from .fdc import FORMULA, InstanceTooLargeError, fdc_count, fdc_marginals
+from .fdc import FORMULA, InstanceTooLargeError, fdc_marginals
+from .fdc import fdc_count  # noqa: F401  perfbench/run.py wraps this name
 from .model import BareClause, BareModel, Clause, PropMRF, literal_key, to_bare
 from .sat import is_satisfiable, unit_propagate
 
@@ -81,6 +83,8 @@ class Sample:
     log_count: float
     log_soft_weight: float
     log_qb: float  # math.log(qb), or the sum of the branches' logs below normal floats
+    # P(v = true) over the solutions of the sampled formula, from the same search as log_count
+    marginals: np.ndarray = field(compare=False, repr=False)
 
     @property
     def log_estimate(self) -> float:
@@ -220,17 +224,6 @@ def _step_extensions(m: BareModel, order: Sequence[int]) -> _Extensions:
     return extensions
 
 
-def _counting_model(
-    m: BareModel, extensions: _Extensions, values: Sequence[bool]
-) -> BareModel:
-    """The hard-only model whose solutions complete the formula assignment."""
-    num_vars, hard, _ = m
-    clauses = list(hard)
-    for extension, value in zip(extensions, values):
-        clauses.extend(extension[value])
-    return (num_vars, tuple(clauses), ())
-
-
 _NodeProposal = Callable[[int, tuple[bool, ...], set[int]], float]
 """The sampler's proposal form: (step index, values of earlier steps, the
 literals that those values and the hard clauses force true) to P(true)."""
@@ -249,8 +242,9 @@ class _FormulaSampler:
     those checks.  The proposal reads the node's forced true literals.  The
     node then keeps its branches, their probabilities and its children, and
     drops its state.  A draw is a walk down the tree, the enumeration a
-    traversal of it with an explicit stack, and a leaf counts its formula's
-    solutions once and keeps the finished Sample.
+    traversal of it with an explicit stack.  A leaf is solved once, by one
+    fdc_marginals search started from its own state; it keeps the finished
+    Sample, with the formula's log count and marginals, and drops the state.
     """
 
     def __init__(self, m: BareModel, soft_steps: Sequence[int], proposal: _NodeProposal):
@@ -269,14 +263,18 @@ class _FormulaSampler:
         satisfiable, else the satisfiable one with probability one."""
         state = node.state
         node.state = None
-        leaf = pos + 1 == len(self._extensions)
         children = []
         for value in (True, False):
             child = _extend(state, self._extensions[pos][value])
             if child is not None:
-                children.append((value, _Node(None if leaf else child)))
+                children.append((value, _Node(child)))
         if len(children) == 2:
             p = float(self.proposal(pos, tuple(values), state[0]))
+            if math.isnan(p):
+                raise ValueError(
+                    f"the proposal returned NaN at step {pos} "
+                    f"(soft clause {self.soft_steps[pos]})"
+                )
             p = min(max(p, _CLAMP), 1.0 - _CLAMP)
             node.branches = ((True, p, children[0][1]), (False, 1.0 - p, children[1][1]))
         elif children:
@@ -289,16 +287,20 @@ class _FormulaSampler:
         return node.branches
 
     def _finish(self, leaf: _Node, values: Sequence[bool], qb: float) -> Sample:
-        soft = self.model[2]
-        counting = _counting_model(self.model, self._extensions, values)
+        num_vars, _, soft = self.model
+        true, _, residual = leaf.state
+        leaf.state = None
+        counting = (num_vars, (*(frozenset((lit,)) for lit in true), *residual), ())
+        exact = fdc_marginals(counting, mode=FORMULA)
         leaf.sample = Sample(
             h=FormulaAssignment(tuple(values)),
             qb=qb,
-            log_count=fdc_count(counting, mode=FORMULA).log_z,
+            log_count=exact.log_z,
             log_soft_weight=sum(
                 soft[j][1] for j, value in zip(self.soft_steps, values) if value
             ),
             log_qb=math.log(qb) if qb >= sys.float_info.min else self._log_qb(values),
+            marginals=exact.marginals,
         )
         return leaf.sample
 
@@ -458,20 +460,20 @@ def vis_log_weights(
     _, hard, soft = to_bare(m)
     assignments = np.asarray(assignments, dtype=bool)
     n_rows = assignments.shape[0]
+
+    def satisfied(clause: BareClause) -> np.ndarray:
+        sat = np.zeros(n_rows, dtype=bool)
+        for lit in clause:
+            col = assignments[:, abs(lit) - 1]
+            sat |= col if lit > 0 else ~col
+        return sat
+
     log_w = np.zeros(n_rows)
     valid = np.ones(n_rows, dtype=bool)
     for clause in hard:
-        sat = np.zeros(n_rows, dtype=bool)
-        for lit in clause:
-            col = assignments[:, abs(lit) - 1]
-            sat |= col if lit > 0 else ~col
-        valid &= sat
+        valid &= satisfied(clause)
     for clause, weight in soft:
-        sat = np.zeros(n_rows, dtype=bool)
-        for lit in clause:
-            col = assignments[:, abs(lit) - 1]
-            sat |= col if lit > 0 else ~col
-        log_w += np.where(sat, weight, 0.0)
+        log_w += np.where(satisfied(clause), weight, 0.0)
     log_q = assignments @ np.log(q) + (~assignments) @ np.log1p(-q)
     log_w -= log_q
     log_w[~valid] = -np.inf
@@ -570,6 +572,8 @@ def u_from_q(
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (num_vars,):
         raise ValueError("q must hold one probability per variable")
+    if not np.all((q >= 0.0) & (q <= 1.0)):
+        raise ValueError("q entries must lie in [0, 1]")
     order = _resolve_h_order(len(soft), h_order)
     h_clauses = [soft[j][0] for j in order]
     masses: dict[tuple[bool, ...], float] = {}
@@ -597,24 +601,16 @@ def fis_marginals(result: FisResult) -> np.ndarray:
     """Self-normalized estimate of P(v = true) for every variable.
 
     Each sample contributes its importance weight times the exact fraction of
-    the sampled formula's solutions that set v true; the fractions come from
-    one fdc_marginals search per distinct formula assignment.
+    the sampled formula's solutions that set v true, which the sample kept
+    from the search that counted it; nothing is searched here.
     """
-    bare = to_bare(result.model)
-    extensions = _step_extensions(bare, result.h_order)
     log_weights = np.array([s.log_estimate for s in result.samples])
     weights = np.exp(log_weights - np.max(log_weights))
-    ratio_cache: dict[tuple[bool, ...], np.ndarray] = {}
     total_weight = 0.0
-    accum = np.zeros(bare[0])
+    accum = np.zeros(result.model.num_vars)
     for sample, weight in zip(result.samples, weights):
-        values = sample.h.values
-        ratios = ratio_cache.get(values)
-        if ratios is None:
-            counting = _counting_model(bare, extensions, values)
-            ratios = ratio_cache[values] = fdc_marginals(counting, mode=FORMULA).marginals
         total_weight += weight
-        accum += weight * ratios
+        accum += weight * sample.marginals
     return np.clip(accum / total_weight, 0.0, 1.0)
 
 

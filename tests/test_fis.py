@@ -133,6 +133,9 @@ def test_u_from_q_masses_and_conditionals():
     assert p == pytest.approx(true_mass / u.kappa, abs=1e-12)
     with pytest.raises(InstanceTooLargeError):
         u_from_q(PropMRF(15), np.full(15, 0.5))
+    for bad in (np.nan, 2.0, -0.5):
+        with pytest.raises(ValueError):
+            u_from_q(m, np.array([bad, 0.6, 0.5]))
 
 
 def test_draws_never_hit_an_empty_formula():
@@ -217,6 +220,8 @@ def test_sampling_guards():
     ok = PropMRF.from_lists(1, soft=[(0.5, [1])])
     with pytest.raises(ValueError):
         run_fis(ok, 0)
+    with pytest.raises(ValueError, match="step 0"):
+        run_fis(ok, 10, proposal=lambda pos, values: float("nan"))
     with pytest.raises(ValueError):
         run_vis(ok, 10, q=np.array([0.0]))
     with pytest.raises(ValueError):
@@ -358,6 +363,39 @@ def test_qmr_draws_are_pinned(jobs):
     fis = run_fis(m, 200, seed=5, jobs=jobs)
     assert fis.estimate.log_z_hat == log_z_hat
     assert _digest([[list(s.h.values), s.qb.hex()] for s in fis.samples]) == digest
+
+
+_MARGINAL_PINS = {
+    "golden": "f171cb0370686c2eb531ff1293d94d4283cbfdcf87906313ff196a391450695e",
+    "qmr-jobs1": "32eb32625181c79ada46d389a79b7f18e3c44fd38b0f4246ea471a734097a301",
+    "qmr-jobs2": "0121c9fd627129803c7a610785b922f5063e154e5a3772314bdd408f1d1801ef",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MARGINAL_PINS))
+def test_fis_marginals_are_pinned(case):
+    # The draws of the two pins above, their marginal estimates bit for bit:
+    # each leaf's search and the weighted average over the samples.
+    if case == "golden":
+        result = run_fis(_golden_model(), 300, seed=5)
+    else:
+        jobs = int(case[-1])
+        result = run_fis(gen_qmr(15, 15, 7, seed=8613), 200, seed=5, jobs=jobs)
+    got = hashlib.sha256(fis_marginals(result).tobytes()).hexdigest()
+    assert got == _MARGINAL_PINS[case]
+
+
+def test_fis_marginals_run_no_search(monkeypatch):
+    # Each leaf's search returns its marginals with its count, and the
+    # samples keep them, so the estimate needs no exact search of its own.
+    result = run_fis(_golden_model(), 300, seed=5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fis_marginals searched")
+
+    monkeypatch.setattr("propmrf.fdc._search", refuse)
+    got = hashlib.sha256(fis_marginals(result).tobytes()).hexdigest()
+    assert got == _MARGINAL_PINS["golden"]
 
 
 @pytest.mark.parametrize(
