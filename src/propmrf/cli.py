@@ -161,9 +161,7 @@ def _count_log_z(m: PropMRF, method: str, use_cache: bool, ve_width: int):
         return result.log_z, _stats_block(result.stats)
     if method == "ve":
         return ve_count(m, max_width=ve_width), None
-    if method == "brute":
-        return brute_force_z(m), None
-    raise _CliError(EXIT_USAGE, f"unknown counting method {method!r}")
+    return brute_force_z(m), None
 
 
 def _add_count_options(parser: argparse.ArgumentParser) -> None:

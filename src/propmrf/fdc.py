@@ -1,7 +1,7 @@
-"""Exact partition functions and marginals by recursive decomposition and
-clause conditioning.
+"""Exact partition functions and marginals by decomposition and clause
+conditioning, searched on an explicit stack.
 
-Each recursive call simplifies its model, splits it into independent
+Each search call simplifies its model, splits it into independent
 components along the primal graph, and otherwise conditions on a branching
 clause R: the model's partition function is the sum of the partition
 functions of the true branch (R appended as a hard clause) and the false
@@ -14,7 +14,8 @@ scalar), when a single clause remains (closed form: a hard clause of size s
 admits 2^s - 1 models; a soft one contributes (2^s - 1)e^w + 1), or when the
 model's min-fill width is small enough to hand it to bucket elimination.
 Conditioning contributes one node and two child calls; decomposition children
-accumulate their own counts without adding a node.
+accumulate their own counts without adding a node.  Calls are generators
+that _run drives on a list, so no search touches Python's recursion limit.
 
 Component results are cached under canonical_key.  Components arrive
 compacted to variables 1..k in ascending order, and the key is that model
@@ -52,10 +53,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator, TypeVar
 
 import numpy as np
 
@@ -96,6 +95,7 @@ class ExactResult:
 
 
 _Result = tuple[float, np.ndarray | None]
+_T = TypeVar("_T")
 
 
 def condition_on_clause(m: BareModel, r: BareClause) -> tuple[BareModel, BareModel]:
@@ -225,15 +225,19 @@ def _lift(out: SimplifyOutcome, num_vars: int, reduced: np.ndarray | None) -> np
     return marginals
 
 
-@contextmanager
-def _recursion_room() -> Iterator[None]:
-    """Room for a recursion as deep as the search, restoring the caller's limit."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 100_000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
+def _run(call: Generator[Generator, object, _T]) -> _T:
+    """The value of a search call: a generator that yields each nested call's
+    generator and is sent back its value.  Suspended calls wait on a list, so
+    the search depth is bounded by memory, not by Python's stack."""
+    stack, value = [call], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
 
 
 def _search(
@@ -245,47 +249,18 @@ def _search(
 ) -> ExactResult:
     """The FDC search behind fdc_count and fdc_marginals.
 
-    Every call returns (log Z, marginals); the marginals are None when
-    with_marginals is off or Z is zero, so counting alone does no marginal
-    work.
+    solve runs once per simplify call and yields solve on both branches of
+    a conditioned component.  Every call returns (log Z, marginals); the
+    marginals are None when with_marginals is off or Z is zero, so counting
+    alone does no marginal work.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
     stats = SearchStats()
     cache: dict | None = {} if use_cache else None
 
-    def solve(model: BareModel) -> _Result:
-        out = simplify(model)
-        if out.status is SimplifyStatus.ZERO:
-            stats.leaves += 1
-            return float("-inf"), None
-        if out.status is SimplifyStatus.SCALAR:
-            stats.leaves += 1
-            if not with_marginals:
-                return out.log_weight, None
-            return out.log_weight, _lift(out, model[0], None)
-        components = connected_components(out.model)
-        parts = [solve_component(c.model) for c in components]
-        log_z = out.log_weight + sum(part[0] for part in parts)
-        if not with_marginals or log_z == -math.inf:
-            return log_z, None
-        reduced = np.empty(out.model[0])
-        for c, (_, part) in zip(components, parts):
-            reduced[np.array(c.variables) - 1] = part
-        return log_z, _lift(out, model[0], reduced)
-
-    def solve_component(model: BareModel) -> _Result:
-        if cache is None:
-            return expand(model)
-        key = canonical_key(model)
-        hit = cache.get(key)
-        if hit is not None:
-            stats.cache_hits += 1
-            return hit
-        value = cache[key] = expand(model)
-        return value
-
-    def expand(model: BareModel) -> _Result:
+    def leaf(model: BareModel) -> _Result | None:
+        """A single-clause or bucket-elimination leaf; None when model branches."""
         num_vars, hard, soft = model
         if len(hard) + len(soft) == 1:
             stats.leaves += 1
@@ -307,22 +282,55 @@ def _search(
                 marginals = np.empty(num_vars)
                 marginals[np.array(estimate.order) - 1] = in_order
                 return log_z, marginals
-        candidate = choose_branch_clause(model, mode)
-        stats.nodes += 1
-        m_true, m_false = condition_on_clause(model, candidate.clause)
-        z_true, marg_true = solve(m_true)
-        z_false, marg_false = solve(m_false)
-        log_z = float(np.logaddexp(z_true, z_false))
+        return None
+
+    def solve(model: BareModel) -> Generator[Generator, _Result, _Result]:
+        out = simplify(model)
+        if out.status is SimplifyStatus.ZERO:
+            stats.leaves += 1
+            return float("-inf"), None
+        if out.status is SimplifyStatus.SCALAR:
+            stats.leaves += 1
+            if not with_marginals:
+                return out.log_weight, None
+            return out.log_weight, _lift(out, model[0], None)
+        components = connected_components(out.model)
+        parts = []
+        for component in components:
+            c = component.model
+            if cache is not None:
+                key = canonical_key(c)
+                hit = cache.get(key)
+                if hit is not None:
+                    stats.cache_hits += 1
+                    parts.append(hit)
+                    continue
+            part = leaf(c)
+            if part is None:
+                stats.nodes += 1
+                m_true, m_false = condition_on_clause(c, choose_branch_clause(c, mode).clause)
+                z_true, marg_true = yield solve(m_true)
+                z_false, marg_false = yield solve(m_false)
+                log_z = float(np.logaddexp(z_true, z_false))
+                part = log_z, None
+                if with_marginals and log_z != -math.inf:
+                    marginals = np.zeros(c[0])
+                    for z_branch, marg_branch in ((z_true, marg_true), (z_false, marg_false)):
+                        if z_branch != -math.inf:
+                            marginals += math.exp(z_branch - log_z) * marg_branch
+                    part = log_z, marginals
+            if cache is not None:
+                cache[key] = part
+            parts.append(part)
+        log_z = out.log_weight + sum(part[0] for part in parts)
         if not with_marginals or log_z == -math.inf:
             return log_z, None
-        marginals = np.zeros(num_vars)
-        for z_branch, marg_branch in ((z_true, marg_true), (z_false, marg_false)):
-            if z_branch != -math.inf:
-                marginals += math.exp(z_branch - log_z) * marg_branch
-        return log_z, marginals
+        reduced = np.empty(out.model[0])
+        for component, (_, part) in zip(components, parts):
+            reduced[np.array(component.variables) - 1] = part
+        return log_z, _lift(out, model[0], reduced)
 
-    with _recursion_room():
-        log_z, marginals = solve(m)
+    log_z, marginals = _run(solve(m))
     if cache is not None:
         stats.cache_entries = len(cache)
     return ExactResult(log_z, stats, marginals)
@@ -387,7 +395,7 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
     Uses the same leaf convention as fdc_count but with caching off and no
     bucket-elimination fallback, so the counts describe the smallest pure
     conditioning/decomposition search space.  Only practical for tiny models.
-    Like the search, it converts m to the bare form once.
+    Like the search, it converts m to bare form once and runs under _run.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
@@ -398,40 +406,33 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
         )
     memo: dict = {}
 
-    def best(model: BareModel) -> tuple[int, int]:
+    def best(model: BareModel) -> Generator[Generator, tuple[int, int], tuple[int, int]]:
         out = simplify(model)
         if out.status is not SimplifyStatus.OPEN:
             return (1, 0)
-        leaves = 0
-        nodes = 0
+        leaves = nodes = 0
         for component in connected_components(out.model):
-            c_leaves, c_nodes = best_component(component.model)
-            leaves += c_leaves
-            nodes += c_nodes
+            c = component.model
+            key = canonical_key(c, with_weights=False)
+            cost = memo.get(key)
+            if cost is None:
+                if len(c[1]) + len(c[2]) == 1:
+                    cost = (1, 0)
+                else:
+                    for r in _branch_candidates(c, mode):
+                        m_true, m_false = condition_on_clause(c, r)
+                        t_leaves, t_nodes = yield best(m_true)
+                        f_leaves, f_nodes = yield best(m_false)
+                        branched = (t_leaves + f_leaves, t_nodes + f_nodes + 1)
+                        if cost is None or branched < cost:
+                            cost = branched
+                    assert cost is not None
+                memo[key] = cost
+            leaves += cost[0]
+            nodes += cost[1]
         return (leaves, nodes)
 
-    def best_component(model: BareModel) -> tuple[int, int]:
-        key = canonical_key(model, with_weights=False)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if len(model[1]) + len(model[2]) == 1:
-            memo[key] = (1, 0)
-            return (1, 0)
-        best_cost: tuple[int, int] | None = None
-        for r in _branch_candidates(model, mode):
-            m_true, m_false = condition_on_clause(model, r)
-            t_leaves, t_nodes = best(m_true)
-            f_leaves, f_nodes = best(m_false)
-            cost = (t_leaves + f_leaves, t_nodes + f_nodes + 1)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-        assert best_cost is not None
-        memo[key] = best_cost
-        return best_cost
-
-    with _recursion_room():
-        leaves, nodes = best(to_bare(m))
+    leaves, nodes = _run(best(to_bare(m)))
     return SearchStats(nodes=nodes, leaves=leaves)
 
 

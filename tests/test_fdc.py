@@ -21,7 +21,7 @@ from propmrf import (
     pick_evidence,
     ve_count,
 )
-from propmrf.fdc import canonical_key, choose_branch_clause, condition_on_clause
+from propmrf.fdc import canonical_key, choose_branch_clause, condition_on_clause, simplify
 from propmrf.graph import connected_components
 from propmrf.model import from_bare, to_bare
 
@@ -374,17 +374,44 @@ def test_search_is_pinned(name):
             assert np.max(np.abs(both.marginals - expected_marginals)) <= 1e-12
 
 
-def test_search_restores_the_recursion_limit():
+def test_search_restores_the_recursion_limit(monkeypatch):
+    # The limit is read inside the search too: a search that raised it for
+    # its own length would race with other threads.
     m = calibration_model()
     tiny = PropMRF.from_lists(3, soft=[(0.5, [1, 2]), (0.2, [2, -3]), (0.1, [1, 3])])
+    seen: list[int] = []
+
+    def recording_simplify(model):
+        seen.append(sys.getrecursionlimit())
+        return simplify(model)
+
+    monkeypatch.setattr("propmrf.fdc.simplify", recording_simplify)
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(5000)
     try:
-        fdc_count(m, ve_width_threshold=0)
-        assert sys.getrecursionlimit() == 5000
-        fdc_marginals(m, ve_width_threshold=0)
-        assert sys.getrecursionlimit() == 5000
-        minimal_search_space(tiny, FORMULA)
-        assert sys.getrecursionlimit() == 5000
+        for search in (
+            lambda: fdc_count(m, ve_width_threshold=0),
+            lambda: fdc_marginals(m, ve_width_threshold=0),
+            lambda: minimal_search_space(tiny, FORMULA),
+        ):
+            seen.clear()
+            search()
+            assert seen and set(seen) == {5000}
+            assert sys.getrecursionlimit() == 5000
     finally:
         sys.setrecursionlimit(before)
+
+
+def test_search_nests_deeper_than_the_recursion_limit():
+    # Variable branching on a 250-variable hard chain conditions 247 times,
+    # 124 levels deep: more nested calls than a recursion limit of 200 admits.
+    n = 250
+    chain = PropMRF.from_lists(n, hard=[[i, i + 1] for i in range(1, n)])
+    expected = ve_count(chain)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = fdc_marginals(chain, mode=VARIABLE, ve_width_threshold=0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert abs(got.log_z - expected) <= 1e-9
