@@ -18,7 +18,6 @@ from propmrf import (
     minimal_search_space,
 )
 from propmrf.fdc import choose_branch_clause
-from propmrf.model import to_bare
 
 # Four soft clauses over nine variables.  Clauses one and two share the block
 # {1, 2, 3}; clause three shares {4, 5} with clause one and clause four
@@ -54,7 +53,7 @@ assert formula.leaves < variable.leaves
 # scanning pairwise literal intersections, preferring blocks that occur in
 # many clauses and cover many literals.  On this model it settles on the
 # shared {1, 2, 3} block rather than a full input clause.
-branch = choose_branch_clause(to_bare(m))
+branch = choose_branch_clause(m)
 print(f"greedy branch choice: clause {sorted(branch.clause, key=abs)} "
       f"(occurs in {branch.occurrence_count} clauses)")
 

@@ -145,7 +145,7 @@ def pick_evidence(m: PropMRF, fraction: float, seed: int = 0) -> PropMRF:
 
 def _clause_sat_mask(codes: np.ndarray, clause: Clause) -> np.ndarray:
     sat = np.zeros(codes.shape, dtype=bool)
-    for lit in clause.literals:
+    for lit in clause:
         bit = (codes >> np.uint64(abs(lit) - 1)) & np.uint64(1)
         sat |= (bit == 1) if lit > 0 else (bit == 0)
     return sat

@@ -34,7 +34,7 @@ from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from .model import PropMRF, to_bare
+from .model import PropMRF
 from .ve import clause_truth_table
 
 _CLAMP = 1e-9
@@ -185,7 +185,7 @@ def run_bp(m: PropMRF, config: BpConfig = BpConfig()) -> BpMarginals:
     Exact on factor graphs without cycles; a fixed point elsewhere.  Messages
     start uniform, so the run is deterministic.
     """
-    num_vars, hard, soft = to_bare(m)
+    num_vars, hard, soft = m
     scopes: list[tuple[int, ...]] = []
     sats: list[np.ndarray] = []
     tables: list[np.ndarray] = []

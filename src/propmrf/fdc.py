@@ -22,19 +22,16 @@ compacted to variables 1..k in ascending order, and the key is that model
 with its clause order erased, so a submodel met again on another branch, or
 under any order-preserving renaming, is solved once.
 
-fdc_count, fdc_marginals and minimal_search_space take a validated PropMRF
-and convert it once to the bare form of model.BareModel: a clause is the
-frozenset of its literals and a model is a (num_vars, hard, soft) tuple.
-fdc_count and fdc_marginals also take a bare model built from validated
-clauses: the formula sampler hands fdc_marginals each leaf's propagated
-state, its forced literals as unit clauses and its residual clauses.
-Every clause the search derives is a subset or an injective renaming of a
-validated one, so nothing inside is validated again.  The layer steps
-(simplify, connected_components, canonical_key, choose_branch_clause,
-condition_on_clause, minfill_width, clauses_to_factors) are called through
-this module's names once per step, on bare models.  All of them but
-minfill_width take that form only; model.to_bare runs once, at the entry
-points.
+fdc_count, fdc_marginals and minimal_search_space run on the model's own
+form, the (num_vars, hard, soft) triple of model.PropMRF whose clauses are
+frozensets of literals.  fdc_count and fdc_marginals also take a plain tuple
+of plain frozensets of that shape: the formula sampler hands fdc_marginals
+each leaf's propagated state, its forced literals as unit clauses and its
+residual clauses.  Every clause the search derives is a subset or an
+injective renaming of a validated one, so nothing inside is validated
+again.  The layer steps (simplify, connected_components, canonical_key,
+choose_branch_clause, condition_on_clause, minfill_width,
+clauses_to_factors) are called through this module's names once per step.
 
 fdc_marginals runs the same search and returns P(v = true) for every
 variable along with log Z.  Each call returns its model's marginals next to
@@ -59,7 +56,7 @@ from typing import Generator, TypeVar
 import numpy as np
 
 from .graph import connected_components, minfill_width
-from .model import BareClause, BareModel, PropMRF, literal_key, to_bare
+from .model import BareClause, BareModel, PropMRF, literal_key
 from .simplify import SimplifyOutcome, SimplifyStatus, simplify
 from .ve import LN2, bucket_elimination, bucket_tree, clauses_to_factors
 
@@ -337,7 +334,7 @@ def _search(
 
 
 def fdc_count(
-    m: PropMRF | BareModel,
+    m: BareModel,
     mode: str = FORMULA,
     use_cache: bool = True,
     ve_width_threshold: int = 16,
@@ -348,11 +345,11 @@ def fdc_count(
     threshold to bucket elimination; 0 disables the fallback.  Cache on and
     off produce identical values; only the statistics differ.
     """
-    return _search(to_bare(m), mode, use_cache, ve_width_threshold, with_marginals=False)
+    return _search(m, mode, use_cache, ve_width_threshold, with_marginals=False)
 
 
 def fdc_marginals(
-    m: PropMRF | BareModel,
+    m: BareModel,
     mode: str = FORMULA,
     use_cache: bool = True,
     ve_width_threshold: int = 16,
@@ -365,7 +362,7 @@ def fdc_marginals(
     concatenate their components' marginals, and bucket-elimination leaves
     run the bucket-tree pass.  The marginals are None when Z is zero.
     """
-    return _search(to_bare(m), mode, use_cache, ve_width_threshold, with_marginals=True)
+    return _search(m, mode, use_cache, ve_width_threshold, with_marginals=True)
 
 
 def _branch_candidates(m: BareModel, mode: str) -> list[BareClause]:
@@ -395,7 +392,7 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
     Uses the same leaf convention as fdc_count but with caching off and no
     bucket-elimination fallback, so the counts describe the smallest pure
     conditioning/decomposition search space.  Only practical for tiny models.
-    Like the search, it converts m to bare form once and runs under _run.
+    Like the search, it runs under _run.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
@@ -432,7 +429,7 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
             nodes += cost[1]
         return (leaves, nodes)
 
-    leaves, nodes = _run(best(to_bare(m)))
+    leaves, nodes = _run(best(m))
     return SearchStats(nodes=nodes, leaves=leaves)
 
 

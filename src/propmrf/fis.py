@@ -15,20 +15,19 @@ that product underflows, the estimate takes log qb as the sum of the
 branches' logs instead.  Averaging the estimates over independent draws is
 unbiased for the partition function.
 
-The sampling entry points take a validated PropMRF and convert it once,
-with model.to_bare, to the bare form of model.BareModel (frozensets of
-literals in a plain tuple).  The formula sampler's draws share a prefix tree
-(see _FormulaSampler): each prefix is unit propagated once, and its state
-is what sat.unit_propagate returns, the forced literals and the residual
-clauses.  Both the SAT checks of the next step (sat.is_satisfiable) and the
-belief propagation proposal start from that state, not from the hard
+The sampling entry points take a PropMRF and run on it as it is: its
+clauses are frozensets of literals.  The formula sampler's draws share a
+prefix tree (see _FormulaSampler): each prefix is unit propagated once, and
+its state is what sat.unit_propagate returns, the forced literals and the
+residual clauses.  Both the SAT checks of the next step (sat.is_satisfiable)
+and the belief propagation proposal start from that state, not from the hard
 clauses.  A leaf's state is also its counting model: one fdc_marginals
 search on the forced true literals as unit clauses plus the residual gives
 the sample's log count and the exact marginals of its formula's solutions,
 which the Sample keeps, so fis_marginals only averages them.  Every draw
-goes through _draws, in this process for jobs=1 and in
-each worker otherwise; a worker gets the bare model, the step order and the
-BP proposal, and returns its Samples.  A custom proposal is not sent to the
+goes through _draws, in this process for jobs=1 and in each worker
+otherwise; a worker gets the model, the step order and the BP proposal, and
+returns its Samples.  A custom proposal is not sent to the
 workers, so run_fis refuses it with jobs > 1.
 
 The variable sampler draws each variable independently from a per-variable
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -50,7 +50,7 @@ import numpy as np
 from .bp import BpConfig, BpMarginals, formula_proposal, run_bp, variable_proposal
 from .fdc import FORMULA, InstanceTooLargeError, fdc_marginals
 from .fdc import fdc_count  # noqa: F401  perfbench/run.py wraps this name
-from .model import BareClause, BareModel, Clause, PropMRF, literal_key, to_bare
+from .model import BareClause, Clause, PropMRF, literal_key
 from .sat import is_satisfiable, unit_propagate
 
 _CLAMP = 1e-9
@@ -212,13 +212,13 @@ class _Node:
 _Extensions = list[tuple[tuple[BareClause, ...], tuple[BareClause, ...]]]
 
 
-def _step_extensions(m: BareModel, order: Sequence[int]) -> _Extensions:
+def _step_extensions(m: PropMRF, order: Sequence[int]) -> _Extensions:
     """Per step, indexed by its value: the negation of each literal of the
     step's clause, in literal_key order, when false; the clause itself when
     true."""
     extensions = []
     for j in order:
-        clause = m[2][j][0]
+        clause = m.soft[j].clause
         units = tuple(frozenset((-l,)) for l in sorted(clause, key=literal_key))
         extensions.append((units, (clause,)))
     return extensions
@@ -247,7 +247,7 @@ class _FormulaSampler:
     Sample, with the formula's log count and marginals, and drops the state.
     """
 
-    def __init__(self, m: BareModel, soft_steps: Sequence[int], proposal: _NodeProposal):
+    def __init__(self, m: PropMRF, soft_steps: Sequence[int], proposal: _NodeProposal):
         self.model = m
         self.proposal = proposal
         self.soft_steps = soft_steps
@@ -356,7 +356,7 @@ def _bp_proposal(
     return formula_proposal(marginals, true, order[pos])
 
 
-def _validate_sampling_model(m: BareModel) -> None:
+def _validate_sampling_model(m: PropMRF) -> None:
     num_vars, hard, _ = m
     if num_vars > MAX_SAMPLING_VARS:
         raise InstanceTooLargeError(
@@ -383,24 +383,23 @@ def _formula_sampling(
     h_order: Sequence[int] | None,
     proposal: Proposal | None,
     bp_config: BpConfig,
-) -> tuple[BareModel, tuple[int, ...], _NodeProposal, BpMarginals | None]:
+) -> tuple[tuple[int, ...], _NodeProposal, BpMarginals | None]:
     """The setup shared by run_fis and enumerate_formula_assignments: the
-    bare model, checked for sampling; the step order; the sampler's
-    proposal; and the BP run behind it, None for a custom proposal."""
-    bare = to_bare(m)
-    _validate_sampling_model(bare)
+    step order; the sampler's proposal; and the BP run behind it, None for a
+    custom proposal.  Checks m for sampling first."""
+    _validate_sampling_model(m)
     order = tuple(_resolve_h_order(len(m.soft), h_order))
     if proposal is not None:
-        return bare, order, lambda pos, values, true: proposal(pos, values), None
+        return order, lambda pos, values, true: proposal(pos, values), None
     marginals = run_bp(m, bp_config)
-    return bare, order, functools.partial(_bp_proposal, marginals, order), marginals
+    return order, functools.partial(_bp_proposal, marginals, order), marginals
 
 
 def _draws(args) -> list[Sample]:
     """n draws on a fresh prefix tree, from a generator seeded by seed (an
     int or a SeedSequence): run_fis's draws, in this process or a worker's."""
-    bare, order, proposal, n, seed = args
-    sampler = _FormulaSampler(bare, order, proposal)
+    m, order, proposal, n, seed = args
+    sampler = _FormulaSampler(m, order, proposal)
     rng = np.random.default_rng(seed)
     return [sampler.draw(rng) for _ in range(n)]
 
@@ -419,8 +418,9 @@ def run_fis(
     The clauses are sampled in declaration order unless h_order supplies a
     permutation of the soft clause indices.  The default proposal comes from
     one belief propagation run on the model; pass proposal to override it.
-    With jobs > 1 the draws are split across processes, each seeded from an
-    independent spawn of the base seed, so results depend on jobs but are
+    With jobs > 1 the draws are split into jobs chunks, each seeded from an
+    independent spawn of the base seed and run in a pool of at most
+    os.cpu_count() processes, so results depend on jobs but are
     reproducible for a given (seed, jobs) pair.  A custom proposal is not
     sent to the workers, so it is refused with jobs > 1.
     """
@@ -430,16 +430,16 @@ def run_fis(
         raise ValueError("jobs must be positive")
     if proposal is not None and jobs > 1:
         raise ValueError("a custom proposal cannot be used with jobs > 1")
-    bare, order, node_proposal, marginals = _formula_sampling(m, h_order, proposal, bp_config)
+    order, node_proposal, marginals = _formula_sampling(m, h_order, proposal, bp_config)
 
     if jobs == 1:
-        samples = tuple(_draws((bare, order, node_proposal, n_samples, seed)))
+        samples = tuple(_draws((m, order, node_proposal, n_samples, seed)))
     else:
         seqs = np.random.SeedSequence(seed).spawn(jobs)
         base, extra = divmod(n_samples, jobs)
         counts = [base + (1 if k < extra else 0) for k in range(jobs)]
-        tasks = [(bare, order, node_proposal, n, s) for n, s in zip(counts, seqs) if n]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        tasks = [(m, order, node_proposal, n, s) for n, s in zip(counts, seqs) if n]
+        with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
             samples = tuple(s for chunk in pool.map(_draws, tasks) for s in chunk)
     log_weights = np.array([s.log_estimate for s in samples])
     return FisResult(
@@ -457,7 +457,7 @@ def vis_log_weights(
 ) -> np.ndarray:
     """Log importance weight of each row: log potential - log proposal mass,
     with -inf for rows violating a hard clause."""
-    _, hard, soft = to_bare(m)
+    _, hard, soft = m
     assignments = np.asarray(assignments, dtype=bool)
     n_rows = assignments.shape[0]
 
@@ -492,7 +492,7 @@ def run_vis(
     marginals; q overrides it with explicit per-variable probabilities."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    _validate_sampling_model(to_bare(m))
+    _validate_sampling_model(m)
     marginals: BpMarginals | None = None
     if q is None:
         marginals = run_bp(m, bp_config)
@@ -528,8 +528,8 @@ def enumerate_formula_assignments(
     expectations of the estimator (mean, variance) can be computed without
     sampling.  Intended for small models.
     """
-    bare, order, node_proposal, _ = _formula_sampling(m, h_order, proposal, bp_config)
-    return _FormulaSampler(bare, order, node_proposal).enumerate()
+    order, node_proposal, _ = _formula_sampling(m, h_order, proposal, bp_config)
+    return _FormulaSampler(m, order, node_proposal).enumerate()
 
 
 @dataclass(frozen=True)
@@ -564,7 +564,7 @@ def u_from_q(
 ) -> UFormulaDistribution:
     """Push a per-variable proposal forward onto formula assignments by full
     enumeration.  Limited to small models."""
-    num_vars, hard, soft = to_bare(m)
+    num_vars, hard, soft = m
     if num_vars > 14:
         raise InstanceTooLargeError(
             "u_from_q enumerates all assignments; at most 14 variables"

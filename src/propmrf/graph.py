@@ -4,9 +4,9 @@ The primal graph has one vertex per variable occurring in some clause and an
 edge between every pair of variables sharing a clause.  Variables occurring in
 no clause are not vertices; simplification accounts for them separately.
 
-These functions work on the search's bare form (model.BareModel), and
-connected_components returns bare component models.  minfill_width alone
-also takes a validated PropMRF, which it converts with model.to_bare.
+These functions take a model as its (num_vars, hard, soft) triple of
+frozenset clauses (a PropMRF or a plain model.BareModel), and
+connected_components returns plain component models.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import chain
 
-from .model import BareModel, PropMRF, compact_bare, to_bare
+from .model import BareModel, compact_bare
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def connected_components(m: BareModel) -> list[Component]:
     ]
 
 
-def minfill_width(m: PropMRF | BareModel) -> WidthEstimate:
+def minfill_width(m: BareModel) -> WidthEstimate:
     """Greedy min-fill elimination order and its induced width (an upper bound
     on treewidth).
 
@@ -117,8 +117,7 @@ def minfill_width(m: PropMRF | BareModel) -> WidthEstimate:
     heap keyed on (fill, index) with stale entries skipped, which is the same
     tie rule, so the order is the one a full recount would give.
     """
-    # perfbench's VE reference calls it on a PropMRF, so it takes both forms.
-    adj = primal_adjacency(to_bare(m))
+    adj = primal_adjacency(m)
     fill = {
         v: sum(len(nbrs - adj[u]) - 1 for u in nbrs) // 2 for v, nbrs in adj.items()
     }

@@ -20,18 +20,20 @@ Model file format::
 Query file format: zero or more ``<lit> ... 0`` lines, each one clause of the
 query conjunction.
 
-Below the public entry points, every layer runs on a bare form of the model
-(BareModel: frozensets of literals in a plain tuple).  to_bare, the one
-function that knows both forms, builds it once per entry point from a
-validated PropMRF; from_bare converts back, validating again.
+A model has one form throughout the package: a Clause is the frozenset of
+its literals, a SoftClause the pair (clause, weight), and a PropMRF the
+triple (num_vars, hard, soft).  The PropMRF constructor is the one place
+that validates.  The exact engines, belief propagation and the search's
+steps also take a plain tuple of plain frozensets of that shape
+(BareModel), which is what the search builds as it derives submodels.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+import operator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Literal = int
 
@@ -65,68 +67,86 @@ class TautologyError(ModelFormatError):
     pass
 
 
-@dataclass(frozen=True, init=False)
-class Clause:
-    """An immutable disjunction of literals over distinct variables.
+class Clause(frozenset):
+    """An immutable disjunction of literals over distinct variables: the
+    frozenset of its literals.
 
-    The empty clause is allowed and is unsatisfiable.  A clause containing a
-    variable in both polarities would be a tautology and is rejected.
+    The empty clause is allowed and is unsatisfiable.  Literal 0, a
+    non-integer literal and a variable in both polarities (a tautology) are
+    rejected.  A Clause passed in is returned as is.
     """
 
-    literals: frozenset[int]
+    __slots__ = ()
 
-    def __init__(self, literals: Iterable[int]):
-        lits = frozenset(int(l) for l in literals)
+    def __new__(cls, literals: Iterable[int]) -> "Clause":
+        if isinstance(literals, Clause):
+            return literals
+        lits = super().__new__(cls, map(operator.index, literals))
         for lit in lits:
             if lit == 0:
                 raise ValueError("literal 0 is not allowed")
             if -lit in lits:
                 raise ValueError(f"tautological clause: both {lit} and {-lit}")
-        object.__setattr__(self, "literals", lits)
+        return lits
 
     def sorted_literals(self) -> tuple[int, ...]:
-        return tuple(sorted(self.literals, key=literal_key))
+        return tuple(sorted(self, key=literal_key))
 
     @property
     def variables(self) -> frozenset[int]:
-        return frozenset(abs(l) for l in self.literals)
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sorted_literals())
-
-    def __contains__(self, lit: int) -> bool:
-        return lit in self.literals
+        return frozenset(abs(l) for l in self)
 
     def __repr__(self) -> str:
         return f"Clause({list(self.sorted_literals())})"
 
 
-@dataclass(frozen=True)
-class SoftClause:
+class SoftClause(NamedTuple):
     clause: Clause
     weight: float
 
 
-@dataclass(frozen=True)
-class PropMRF:
-    """A weighted propositional model: variables 1..num_vars, hard and soft clauses."""
-
+class _Model(NamedTuple):
     num_vars: int
     hard: tuple[Clause, ...] = ()
     soft: tuple[SoftClause, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
+
+class PropMRF(_Model):
+    """A weighted propositional model: variables 1..num_vars, hard and soft
+    clauses, as the triple (num_vars, hard, soft).
+
+    The constructor validates: num_vars is a nonnegative integer, each hard
+    clause becomes a Clause and each soft (clause, weight) pair a SoftClause
+    with a finite float weight, and every literal names a variable in range.
+    Unpickling, _make and _replace run it again.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        num_vars: int,
+        hard: Iterable[Iterable[int]] = (),
+        soft: Iterable[tuple[Iterable[int], float]] = (),
+    ) -> "PropMRF":
+        num_vars = operator.index(num_vars)
+        if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        for clause in self.iter_clauses():
-            for lit in clause.literals:
-                if abs(lit) > self.num_vars:
-                    raise ValueError(
-                        f"literal {lit} out of range for {self.num_vars} variables"
-                    )
+        hard = tuple(map(Clause, hard))
+        soft = tuple(SoftClause(Clause(c), float(w)) for c, w in soft)
+        for _, weight in soft:
+            if not math.isfinite(weight):
+                raise ValueError(f"soft clause weight {weight!r} is not finite")
+        m = super().__new__(cls, num_vars, hard, soft)
+        for clause in m.iter_clauses():
+            for lit in clause:
+                if abs(lit) > num_vars:
+                    raise ValueError(f"literal {lit} out of range for {num_vars} variables")
+        return m
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "PropMRF":
+        return cls(*iterable)
 
     def iter_clauses(self) -> Iterator[Clause]:
         for c in self.hard:
@@ -151,21 +171,12 @@ class PropMRF:
         soft: Sequence[tuple[float, Sequence[int]]] = (),
     ) -> "PropMRF":
         """Convenience builder: soft entries are (weight, literals) pairs."""
-        return PropMRF(
-            num_vars,
-            tuple(Clause(lits) for lits in hard),
-            tuple(SoftClause(Clause(lits), float(w)) for w, lits in soft),
-        )
+        return PropMRF(num_vars, hard, ((lits, w) for w, lits in soft))
 
 
 def conjoin_query(m: PropMRF, query: Sequence[Clause]) -> PropMRF:
-    """Return m with the query clauses appended as additional hard constraints."""
-    for clause in query:
-        for lit in clause.literals:
-            if abs(lit) > m.num_vars:
-                raise ValueError(
-                    f"query literal {lit} out of range for {m.num_vars} variables"
-                )
+    """Return m with the query clauses appended as additional hard constraints;
+    the constructor rejects a query literal out of range."""
     return PropMRF(m.num_vars, m.hard + tuple(query), m.soft)
 
 
@@ -287,34 +298,13 @@ def model_fingerprint(m: PropMRF) -> str:
     return hashlib.sha256(write_model(m).encode()).hexdigest()
 
 
-# The search's form of a model: (num_vars, hard, soft), each clause the
-# frozenset of its literals and each soft clause a (literals, weight) pair.
-# It is built only from a validated PropMRF, and the search derives from it
-# only subsets and injective renamings of those clauses, so it needs no
+# The plain form of a model that the search builds: (num_vars, hard, soft),
+# each clause a frozenset of literals and each soft clause a (literals,
+# weight) pair.  A PropMRF is one; the search derives from it only subsets
+# and injective renamings of its clauses, so a derived model needs no
 # validation of its own.
 BareClause = frozenset[int]
 BareModel = tuple[int, tuple[BareClause, ...], tuple[tuple[BareClause, float], ...]]
-
-
-def to_bare(m: "PropMRF | BareModel") -> BareModel:
-    """The bare form of m; a model already in bare form is returned as is."""
-    if not isinstance(m, PropMRF):
-        return m
-    return (
-        m.num_vars,
-        tuple(c.literals for c in m.hard),
-        tuple((sc.clause.literals, sc.weight) for sc in m.soft),
-    )
-
-
-def from_bare(b: BareModel) -> PropMRF:
-    """The validated PropMRF with the clauses of a bare model."""
-    num_vars, hard, soft = b
-    return PropMRF(
-        num_vars,
-        tuple(Clause(c) for c in hard),
-        tuple(SoftClause(Clause(c), w) for c, w in soft),
-    )
 
 
 def compact_bare(

@@ -1,7 +1,7 @@
 """Unit propagation and a small chronological-backtracking DPLL solver.
 
-Both work on bare clauses (model.BareClause): frozensets of DIMACS literals,
-which must not be tautologies.  unit_propagate is the package's one
+Both work on clauses as frozensets of DIMACS literals (a model.Clause is
+one), which must not be tautologies.  unit_propagate is the package's one
 propagate-and-reduce step: it returns the forced literals together with the
 residual formula, the open clauses with their false literals removed.
 simplify, the solver below and the formula sampler all call it and work on

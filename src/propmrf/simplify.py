@@ -22,9 +22,9 @@ One pass reaches the fixpoint: after propagation every open hard clause
 keeps at least two unassigned literals, so nothing is left to force, and
 dropping subsumed hard clauses cannot let a new one subsume a soft clause.
 
-simplify takes and returns the search's bare form (model.BareModel), which
-the search's entry points build once with model.to_bare: clauses are
-frozensets of literals and subsumption is <= on frozensets.  Propagation and
+simplify takes and returns models as (num_vars, hard, soft) triples
+(model.BareModel; a PropMRF is one): clauses are frozensets of literals and
+subsumption is <= on frozensets.  Propagation and
 the reduction of the hard clauses are sat.unit_propagate, the step the SAT
 solver and the formula sampler share; its residual is the reduced hard
 formula.

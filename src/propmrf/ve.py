@@ -25,8 +25,9 @@ it is -inf instead of subtracting it, so hard clauses produce no NaN.  The
 downward pass only feeds the marginals, which therefore agree with a
 log-space reduction to rounding, not bit for bit.
 
-The factor builders take bare clauses and models (model.BareModel); ve_count
-converts its PropMRF once with model.to_bare.
+The factor builders and ve_count take clauses as frozensets of literals
+and models as (num_vars, hard, soft) triples: a PropMRF or a plain
+model.BareModel.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import minfill_width
-from .model import BareClause, BareModel, PropMRF, to_bare
+from .model import BareClause, BareModel, PropMRF
 
 LN2 = math.log(2.0)
 _FLOOR = np.finfo(np.float64).min
@@ -236,13 +237,12 @@ def ve_count(
     With the min-fill order, its width is checked against max_width before
     any table is built; a given order is checked bucket by bucket.
     """
-    bare = to_bare(m)
     if order is None:
-        estimate = minfill_width(bare)
+        estimate = minfill_width(m)
         if estimate.order and estimate.width + 1 > max_width:
             raise VeWidthError(estimate.width + 1, max_width)
         order = estimate.order
-    factors = clauses_to_factors(bare, max_width)
-    covered = set(order) | m.occurring_variables()
+    factors = clauses_to_factors(m, max_width)
+    covered = set(order).union(*(f.scope for f in factors))
     log_z = bucket_elimination(factors, order, max_width)
-    return log_z + LN2 * (m.num_vars - len(covered))
+    return log_z + LN2 * (m[0] - len(covered))

@@ -23,14 +23,14 @@ def _weighted_assignments(m: PropMRF) -> list[tuple[tuple[bool, ...], float]]:
     for bits in itertools.product((False, True), repeat=m.num_vars):
         ok = True
         for clause in m.hard:
-            if not any((lit > 0) == bits[abs(lit) - 1] for lit in clause.literals):
+            if not any((lit > 0) == bits[abs(lit) - 1] for lit in clause):
                 ok = False
                 break
         if not ok:
             continue
         weight = 0.0
         for sc in m.soft:
-            if any((lit > 0) == bits[abs(lit) - 1] for lit in sc.clause.literals):
+            if any((lit > 0) == bits[abs(lit) - 1] for lit in sc.clause):
                 weight += sc.weight
         out.append((bits, weight))
     return out

@@ -52,7 +52,6 @@ from propmrf import (
 )
 from propmrf.fdc import condition_on_clause
 from propmrf.graph import connected_components
-from propmrf.model import from_bare, to_bare
 from propmrf.simplify import simplify
 
 from conftest import calibration_model, random_mixed_model
@@ -155,7 +154,7 @@ def test_criterion_03_formula_leaf_bound(capsys):
 
 def _shift_clause(clause: Clause, offset: int) -> Clause:
     return Clause(
-        [lit + offset if lit > 0 else lit - offset for lit in clause.literals]
+        [lit + offset if lit > 0 else lit - offset for lit in clause]
     )
 
 
@@ -199,19 +198,19 @@ def test_criterion_04_conditioning_and_decomposition(capsys):
         r = frozenset(
             [int(v) if s else -int(v) for v, s in zip(variables, signs)]
         )
-        with_r, without_r = condition_on_clause(to_bare(m), r)
-        z_split = math.exp(brute_force_z(from_bare(with_r))) + math.exp(
-            brute_force_z(from_bare(without_r))
+        with_r, without_r = condition_on_clause(m, r)
+        z_split = math.exp(brute_force_z(PropMRF(*with_r))) + math.exp(
+            brute_force_z(PropMRF(*without_r))
         )
         worst_split = max(worst_split, abs(z_split - z_m) / z_m)
 
-        components = connected_components(to_bare(m))
+        components = connected_components(m)
         if len(components) > 1:
             multi_component += 1
         free = m.num_vars - len(m.occurring_variables())
         z_product = 2.0**free
         for component in components:
-            z_product *= math.exp(brute_force_z(from_bare(component.model)))
+            z_product *= math.exp(brute_force_z(PropMRF(*component.model)))
         worst_product = max(worst_product, abs(z_product - z_m) / z_m)
     ok = worst_split <= 1e-12 and worst_product <= 1e-12 and multi_component > 0
     _report(
@@ -231,12 +230,12 @@ def test_criterion_05_simplification_invariance(capsys):
     for _ in range(200):
         m = random_mixed_model(rng, max_vars=7, max_hard=3, max_soft=5)
         z_original = math.exp(brute_force_z(m))
-        outcome = simplify(to_bare(m))
+        outcome = simplify(m)
         if outcome.log_weight == -math.inf:
             zeros += 1
             assert z_original == 0.0
             continue
-        z_reduced = math.exp(brute_force_z(from_bare(outcome.model)))
+        z_reduced = math.exp(brute_force_z(PropMRF(*outcome.model)))
         recovered = math.exp(outcome.log_weight) * z_reduced
         worst = max(worst, abs(recovered - z_original) / z_original)
     ok = worst <= 1e-12
@@ -257,7 +256,7 @@ def _sampling_instance(rng, max_vars: int = 8) -> PropMRF:
         )
         if rng.random() < 0.4:
             m = pick_evidence(m, 0.15, seed=int(rng.integers(2**31)))
-        if m.soft and is_satisfiable([c.literals for c in m.hard]):
+        if m.soft and is_satisfiable(m.hard):
             return m
 
 
@@ -342,7 +341,7 @@ def test_criterion_08_backtrack_freeness(capsys):
                 [int(v) if s else -int(v) for v, s in zip(variables, signs)]
             )
             m = PropMRF(m.num_vars, m.hard + (extra,), m.soft)
-            if is_satisfiable([c.literals for c in m.hard]):
+            if is_satisfiable(m.hard):
                 break
         result = run_fis(m, 1000, seed=i)
         for sample in result.samples:
@@ -438,7 +437,7 @@ def test_criterion_11_integer_model_counts(capsys):
         valid = np.ones(rows.shape[0], dtype=bool)
         for clause in m.hard:
             sat = np.zeros(rows.shape[0], dtype=bool)
-            for lit in clause.literals:
+            for lit in clause:
                 col = rows[:, abs(lit) - 1]
                 sat |= col if lit > 0 else ~col
             valid &= sat

@@ -164,7 +164,7 @@ def test_pick_evidence_counts_and_determinism():
     assert with_evidence.soft == m.soft
     for clause in with_evidence.hard:
         assert len(clause) == 1
-    fixed = [abs(next(iter(c.literals))) for c in with_evidence.hard]
+    fixed = [abs(next(iter(c))) for c in with_evidence.hard]
     assert fixed == sorted(fixed)
     assert len(set(fixed)) == len(fixed)
     assert pick_evidence(m, 0.25, seed=2) == with_evidence

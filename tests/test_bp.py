@@ -122,9 +122,9 @@ def test_variable_proposal_clamps_extremes():
 def _forced_true(m, prefix):
     """The literals that unit propagation of the hard clauses and the
     decided (soft clause index, value) prefix forces true."""
-    constraints = [c.literals for c in m.hard]
+    constraints = list(m.hard)
     for j, value in prefix:
-        clause = m.soft[j].clause.literals
+        clause = m.soft[j].clause
         constraints += [clause] if value else [frozenset((-l,)) for l in clause]
     return unit_propagate(constraints)[0]
 
@@ -271,7 +271,7 @@ def _per_edge_bp(m: PropMRF, config: BpConfig) -> tuple[np.ndarray, list, int, b
         sat = np.zeros((2,) * len(scope), dtype=bool)
         for index in np.ndindex(sat.shape):
             sat[index] = any(
-                index[scope.index(abs(lit))] == (lit > 0) for lit in clause.literals
+                index[scope.index(abs(lit))] == (lit > 0) for lit in clause
             )
         scopes.append(scope)
         tables.append(

@@ -23,7 +23,6 @@ from propmrf import (
 )
 from propmrf.fdc import canonical_key, choose_branch_clause, condition_on_clause, simplify
 from propmrf.graph import connected_components
-from propmrf.model import from_bare, to_bare
 
 from conftest import calibration_model, naive_log_z, random_clause, random_mixed_model
 
@@ -39,19 +38,18 @@ def test_conditioning_splits_the_assignment_space():
         chosen = rng.choice(occurring, size=size, replace=False)
         signs = rng.random(size) < 0.5
         r = frozenset(int(v) if s else -int(v) for v, s in zip(chosen, signs))
-        bare = to_bare(m)
-        m_true, m_false = condition_on_clause(bare, r)
-        assert m_true[1] == bare[1] + (r,)
-        assert len(m_false[1]) == len(bare[1]) + len(r)
+        m_true, m_false = condition_on_clause(m, r)
+        assert m_true[1] == m.hard + (r,)
+        assert len(m_false[1]) == len(m.hard) + len(r)
         whole = math.exp(naive_log_z(m))
-        split = math.exp(naive_log_z(from_bare(m_true))) + math.exp(
-            naive_log_z(from_bare(m_false))
+        split = math.exp(naive_log_z(PropMRF(*m_true))) + math.exp(
+            naive_log_z(PropMRF(*m_false))
         )
         assert split == pytest.approx(whole, rel=1e-12, abs=1e-300)
 
 
 def test_branch_choice_on_the_calibration_model():
-    m = to_bare(calibration_model())
+    m = calibration_model()
     candidate = choose_branch_clause(m, FORMULA)
     assert candidate.clause == frozenset({1, 2, 3})
     assert candidate.occurrence_count == 2
@@ -62,7 +60,7 @@ def test_branch_choice_on_the_calibration_model():
 
 def test_branch_choice_prefers_shared_intersections():
     m = PropMRF.from_lists(4, soft=[(0.5, [1, 2]), (0.4, [-1, 3]), (0.3, [-1, 4])])
-    candidate = choose_branch_clause(to_bare(m), FORMULA)
+    candidate = choose_branch_clause(m, FORMULA)
     assert candidate.clause == frozenset({-1})
     assert candidate.occurrence_count == 2
 
@@ -71,7 +69,7 @@ def test_branch_choice_falls_back_to_most_frequent_literal():
     # every pairwise literal-set intersection is empty; ties resolve toward
     # the smallest literal
     m = PropMRF.from_lists(3, soft=[(0.5, [1, 2]), (0.4, [-1, 3]), (0.3, [-2, -3])])
-    candidate = choose_branch_clause(to_bare(m), FORMULA)
+    candidate = choose_branch_clause(m, FORMULA)
     assert candidate.clause == frozenset({1})
     assert candidate.occurrence_count == 1
 
@@ -133,19 +131,15 @@ def test_cache_changes_statistics_not_values():
 
 
 def test_canonical_key_identifies_renamed_models():
-    a = to_bare(PropMRF.from_lists(4, hard=[[1, 2]], soft=[(0.5, [2, 3]), (0.1, [3, -4])]))
+    a = PropMRF.from_lists(4, hard=[[1, 2]], soft=[(0.5, [2, 3]), (0.1, [3, -4])])
     # The same clauses in another order, each literal set listed otherwise.
-    reordered = to_bare(
-        PropMRF.from_lists(4, hard=[[2, 1]], soft=[(0.1, [-4, 3]), (0.5, [3, 2])])
-    )
+    reordered = PropMRF.from_lists(4, hard=[[2, 1]], soft=[(0.1, [-4, 3]), (0.5, [3, 2])])
     assert canonical_key(a) == canonical_key(reordered)
     # An order-preserving renaming, compacted by connected_components.
-    spread = to_bare(
-        PropMRF.from_lists(9, hard=[[2, 5]], soft=[(0.5, [5, 6]), (0.1, [6, -9])])
-    )
+    spread = PropMRF.from_lists(9, hard=[[2, 5]], soft=[(0.5, [5, 6]), (0.1, [6, -9])])
     (component,) = connected_components(spread)
     assert canonical_key(component.model) == canonical_key(a)
-    c = to_bare(PropMRF.from_lists(4, hard=[[1, 2]], soft=[(0.6, [2, 3]), (0.1, [3, -4])]))
+    c = PropMRF.from_lists(4, hard=[[1, 2]], soft=[(0.6, [2, 3]), (0.1, [3, -4])])
     assert canonical_key(a) != canonical_key(c)
     assert canonical_key(a, with_weights=False) == canonical_key(
         c, with_weights=False

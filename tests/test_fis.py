@@ -104,7 +104,7 @@ def test_variance_ordering_against_variable_sampling():
         for bits in itertools.product((False, True), repeat=n):
             q_mass = math.prod(q[v] if bits[v] else 1.0 - q[v] for v in range(n))
             if any(
-                not any((l > 0) == bits[abs(l) - 1] for l in c.literals)
+                not any((l > 0) == bits[abs(l) - 1] for l in c)
                 for c in m.hard
             ):
                 w = 0.0
@@ -112,7 +112,7 @@ def test_variance_ordering_against_variable_sampling():
                 log_pot = sum(
                     sc.weight
                     for sc in m.soft
-                    if any((l > 0) == bits[abs(l) - 1] for l in sc.clause.literals)
+                    if any((l > 0) == bits[abs(l) - 1] for l in sc.clause)
                 )
                 w = math.exp(log_pot) / q_mass
             var_vis += q_mass * (w - z) ** 2
@@ -192,6 +192,14 @@ def test_run_fis_starts_no_more_workers_than_tasks(monkeypatch):
     recorded = run_fis(m, 2, seed=4, jobs=3)
     assert pools == [2]
     assert recorded.samples == pooled.samples
+    # No more workers than processors; the draws still split into jobs
+    # seeded chunks, so the samples do not depend on the processor count.
+    by_cpus = {}
+    for cpus in (8, 2, None):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        by_cpus[cpus] = run_fis(m, 6, seed=4, jobs=6).samples
+    assert pools[1:] == [6, 2, 1]
+    assert by_cpus[2] == by_cpus[None] == by_cpus[8]
 
 
 def test_custom_proposal_rejected_with_multiple_jobs():
@@ -454,7 +462,7 @@ def test_fis_marginals_match_brute_force_per_assignment():
                 continue
             hard = list(m.hard)
             for clause, value in zip(result.h_clauses, sample.h.values):
-                hard += [clause] if value else [Clause([-l]) for l in clause.literals]
+                hard += [clause] if value else [Clause([-l]) for l in clause]
             expected += weight * brute_force_marginals(PropMRF(m.num_vars, tuple(hard)))
         expected /= weights.sum()
         assert np.all(np.abs(fis_marginals(result) - expected) <= 1e-12)

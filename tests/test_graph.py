@@ -7,7 +7,6 @@ import pytest
 
 from propmrf import PropMRF, brute_force_z, minfill_width
 from propmrf.graph import connected_components, primal_adjacency
-from propmrf.model import from_bare, to_bare
 
 from conftest import random_mixed_model
 
@@ -36,7 +35,7 @@ def exact_treewidth(adj: dict[int, set[int]]) -> int:
 
 def test_primal_adjacency_edges():
     m = PropMRF.from_lists(4, hard=[[1, 2, 3]], soft=[(0.5, [3, -4])])
-    adj = primal_adjacency(to_bare(m))
+    adj = primal_adjacency(m)
     assert adj[1] == {2, 3}
     assert adj[2] == {1, 3}
     assert adj[3] == {1, 2, 4}
@@ -49,28 +48,26 @@ def test_connected_components_split_and_compaction():
         hard=[[1, 3]],
         soft=[(0.5, [3, 5]), (-0.2, [2, 6])],
     )
-    components = connected_components(to_bare(m))
+    components = connected_components(m)
     assert [c.variables for c in components] == [
         (1, 3, 5),
         (2, 6),
     ]
     first, second = components
-    assert first.model == to_bare(
-        PropMRF.from_lists(3, hard=[[1, 2]], soft=[(0.5, [2, 3])])
-    )
-    assert second.model == to_bare(PropMRF.from_lists(2, soft=[(-0.2, [1, 2])]))
+    assert first.model == PropMRF.from_lists(3, hard=[[1, 2]], soft=[(0.5, [2, 3])])
+    assert second.model == PropMRF.from_lists(2, soft=[(-0.2, [1, 2])])
 
 
 def test_single_component_renumbering_and_fast_path():
     # An unused variable still forces renumbering.
-    (component,) = connected_components(to_bare(PropMRF.from_lists(3, hard=[[1, 3]])))
+    (component,) = connected_components(PropMRF.from_lists(3, hard=[[1, 3]]))
     assert component.variables == (1, 3)
-    assert component.model == to_bare(PropMRF.from_lists(2, hard=[[1, 2]]))
+    assert component.model == PropMRF.from_lists(2, hard=[[1, 2]])
     # An already compact single component comes back as it is.
-    bare = to_bare(PropMRF.from_lists(3, hard=[[1, -3]], soft=[(0.5, [2, 3])]))
-    (component,) = connected_components(bare)
+    m = PropMRF.from_lists(3, hard=[[1, -3]], soft=[(0.5, [2, 3])])
+    (component,) = connected_components(m)
     assert component.variables == (1, 2, 3)
-    assert component.model is bare
+    assert component.model is m
 
 
 def test_component_partition_functions_multiply():
@@ -78,12 +75,12 @@ def test_component_partition_functions_multiply():
     checked = 0
     for _ in range(200):
         m = random_mixed_model(rng, max_vars=8, max_hard=2, max_soft=4)
-        components = connected_components(to_bare(m))
+        components = connected_components(m)
         if len(components) < 2:
             continue
         free = m.num_vars - len(m.occurring_variables())
         product = free * math.log(2.0) + sum(
-            brute_force_z(from_bare(c.model)) for c in components
+            brute_force_z(PropMRF(*c.model)) for c in components
         )
         whole = brute_force_z(m)
         if whole == -math.inf:
@@ -121,7 +118,7 @@ def test_minfill_width_bounds_exact_treewidth():
     rng = np.random.default_rng(8203)
     for _ in range(60):
         m = random_mixed_model(rng, max_vars=6, max_hard=4, max_soft=4)
-        adj = primal_adjacency(to_bare(m))
+        adj = primal_adjacency(m)
         if not adj:
             continue
         estimate = minfill_width(m)
@@ -129,7 +126,7 @@ def test_minfill_width_bounds_exact_treewidth():
 
 
 def test_empty_model_has_no_components():
-    assert connected_components(to_bare(PropMRF(3))) == []
+    assert connected_components(PropMRF(3)) == []
     assert minfill_width(PropMRF(3)) == minfill_width(PropMRF(0))
     assert minfill_width(PropMRF(0)).order == ()
 
@@ -137,7 +134,7 @@ def test_empty_model_has_no_components():
 def _recounted_minfill(m: PropMRF) -> tuple[int, tuple[int, ...]]:
     """The greedy loop min-fill replaced: every step recounts the fill of
     every remaining vertex and takes the smallest, ties by smallest index."""
-    adj = primal_adjacency(to_bare(m))
+    adj = primal_adjacency(m)
     order: list[int] = []
     width = 0
     while adj:

@@ -1,5 +1,7 @@
 import math
+import pickle
 
+import numpy as np
 import pytest
 
 from propmrf import (
@@ -12,12 +14,17 @@ from propmrf import (
     SoftClause,
     TautologyError,
     conjoin_query,
+    fdc_count,
+    gen_random,
     model_fingerprint,
     parse_model,
     parse_query,
+    pick_evidence,
+    run_bp,
+    ve_count,
     write_model,
 )
-from propmrf.model import compact_bare, literal_key, to_bare
+from propmrf.model import compact_bare, literal_key
 
 
 def test_literal_key_orders_by_variable_then_sign():
@@ -30,8 +37,39 @@ def test_clause_basic_properties():
     assert c.sorted_literals() == (-1, 2, 3)
     assert c.variables == frozenset({1, 2, 3})
     assert len(c) == 3
-    assert list(c) == [-1, 2, 3]
+    assert set(c) == {-1, 2, 3}
     assert -1 in c and 1 not in c
+
+
+def test_clause_is_the_frozenset_of_its_literals():
+    c = Clause([3, -1, 2])
+    assert isinstance(c, frozenset)
+    assert c == frozenset({-1, 2, 3}) and hash(c) == hash(frozenset({-1, 2, 3}))
+    assert Clause(c) is c
+    assert repr(c) == "Clause([-1, 2, 3])"
+    assert c - {2} == frozenset({-1, 3})
+
+
+def test_literals_and_num_vars_must_be_integers():
+    with pytest.raises(TypeError):
+        Clause([1.5, -2.9])
+    with pytest.raises(TypeError):
+        PropMRF(2.5)
+    with pytest.raises(TypeError):
+        PropMRF.from_lists(2, hard=[[1.0]])
+    # numpy integers are integers
+    m = PropMRF(np.int64(2), [Clause([np.int64(1), np.int32(-2)])])
+    assert m.num_vars == 2 and type(m.num_vars) is int
+    assert m.hard == (Clause([1, -2]),)
+    assert all(type(lit) is int for lit in m.hard[0])
+
+
+@pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+def test_propmrf_rejects_non_finite_weights(weight):
+    with pytest.raises(ValueError):
+        PropMRF(2, (), (SoftClause(Clause([1, 2]), weight),))
+    with pytest.raises(ValueError):
+        PropMRF.from_lists(2, soft=[(weight, [1, 2])])
 
 
 def test_clause_deduplicates_repeated_literals():
@@ -54,6 +92,55 @@ def test_propmrf_validates_literal_range():
         PropMRF(2, (Clause([3]),), ())
     with pytest.raises(ValueError):
         PropMRF.from_lists(1, soft=[(0.5, [1, -2])])
+
+
+def test_propmrf_is_its_triple():
+    m = PropMRF.from_lists(3, hard=[[1, 2]], soft=[(0.5, [-3])])
+    num_vars, hard, soft = m
+    assert (num_vars, hard, soft) == (3, (frozenset({1, 2}),), ((frozenset({-3}), 0.5),))
+    # The constructor turns a plain triple into the validated types.
+    plain = PropMRF(3, [frozenset({1, 2})], [(frozenset({-3}), 0.5)])
+    assert plain == m
+    assert type(plain.hard[0]) is Clause and type(plain.soft[0]) is SoftClause
+    assert type(plain.soft[0].clause) is Clause
+    assert PropMRF(*m) == m
+
+
+def test_pickle_round_trip_validates_again():
+    m = PropMRF.from_lists(3, hard=[[1, 2]], soft=[(0.5, [-3])])
+    again = pickle.loads(pickle.dumps(m))
+    assert again == m and type(again) is PropMRF
+    assert type(again.hard[0]) is Clause and type(again.soft[0]) is SoftClause
+    # Objects built around the constructors do not survive a round trip.
+    out_of_range = tuple.__new__(PropMRF, (1, (Clause([2]),), ()))
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(out_of_range))
+    tautology = frozenset.__new__(Clause, [1, -1])
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(tautology))
+    # The tuple's own builders validate too.
+    assert type(m._replace(num_vars=4)) is PropMRF
+    with pytest.raises(ValueError):
+        m._replace(num_vars=2)
+    with pytest.raises(ValueError):
+        PropMRF._make((1, [[5]], ()))
+
+
+def test_engines_agree_on_a_plain_triple():
+    for seed in range(4):
+        m = pick_evidence(gen_random(12, 12, 3, seed=seed), 0.2, seed=seed)
+        plain = (
+            m.num_vars,
+            tuple(frozenset(c) for c in m.hard),
+            tuple((frozenset(c), w) for c, w in m.soft),
+        )
+        assert type(plain[1][0]) is frozenset
+        a, b = fdc_count(m), fdc_count(plain)
+        assert a.log_z.hex() == b.log_z.hex() and a.stats == b.stats
+        assert ve_count(m).hex() == ve_count(plain).hex()
+        bp_m, bp_plain = run_bp(m), run_bp(plain)
+        assert bp_m.variable_p_true.tobytes() == bp_plain.variable_p_true.tobytes()
+        assert (bp_m.iterations, bp_m.converged) == (bp_plain.iterations, bp_plain.converged)
 
 
 def test_from_lists_and_counts():
@@ -166,6 +253,4 @@ def test_fingerprint_distinguishes_models():
 
 def test_compact_bare_renumbers_in_ascending_order():
     m = compact_bare((frozenset({7, -4}),), ((frozenset({-9, 7}), 0.3),), [4, 7, 9])
-    assert m == to_bare(
-        PropMRF.from_lists(3, hard=[[-1, 2]], soft=[(0.3, [2, -3])])
-    )
+    assert m == PropMRF.from_lists(3, hard=[[-1, 2]], soft=[(0.3, [2, -3])])

@@ -58,7 +58,7 @@ def test_is_satisfiable_matches_enumeration():
     for _ in range(300):
         n = int(rng.integers(1, 6))
         clauses = [
-            random_clause(rng, n).literals for _ in range(int(rng.integers(0, 7)))
+            random_clause(rng, n) for _ in range(int(rng.integers(0, 7)))
         ]
         assert is_satisfiable(clauses) == brute_satisfiable(clauses, n)
         propagated = unit_propagate(clauses)

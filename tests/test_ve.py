@@ -12,7 +12,6 @@ from propmrf import (
     pick_evidence,
     ve_count,
 )
-from propmrf.model import to_bare
 from propmrf.ve import (
     Factor,
     bucket_elimination,
@@ -103,7 +102,7 @@ def test_bucket_elimination_empty_inputs():
 def test_clauses_to_factors_rejects_wide_clause():
     m = PropMRF.from_lists(4, hard=[[1, 2, 3, 4]])
     with pytest.raises(VeWidthError):
-        clauses_to_factors(to_bare(m), max_width=3)
+        clauses_to_factors(m, max_width=3)
 
 
 def _random_factors(rng: np.random.Generator, n: int) -> list[Factor]:
