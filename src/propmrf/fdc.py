@@ -327,7 +327,12 @@ def _search(
             reduced[np.array(component.variables) - 1] = part
         return log_z, _lift(out, model[0], reduced)
 
-    log_z, marginals = _run(solve(m))
+    try:
+        log_z, marginals = _run(solve(m))
+    finally:
+        # solve's closure holds solve: break that cycle, or the cache it
+        # reaches waits for the cyclic garbage collector.
+        solve = None
     if cache is not None:
         stats.cache_entries = len(cache)
     return ExactResult(log_z, stats, marginals)
@@ -429,7 +434,10 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
             nodes += cost[1]
         return (leaves, nodes)
 
-    leaves, nodes = _run(best(m))
+    try:
+        leaves, nodes = _run(best(m))
+    finally:
+        best = None  # as in _search: free the memo without the cyclic collector
     return SearchStats(nodes=nodes, leaves=leaves)
 
 

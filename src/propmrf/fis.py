@@ -21,14 +21,19 @@ prefix tree (see _FormulaSampler): each prefix is unit propagated once, and
 its state is what sat.unit_propagate returns, the forced literals and the
 residual clauses.  Both the SAT checks of the next step (sat.is_satisfiable)
 and the belief propagation proposal start from that state, not from the hard
-clauses.  A leaf's state is also its counting model: one fdc_marginals
-search on the forced true literals as unit clauses plus the residual gives
-the sample's log count and the exact marginals of its formula's solutions,
-which the Sample keeps, so fis_marginals only averages them.  Every draw
-goes through _draws, in this process for jobs=1 and in each worker
-otherwise; a worker gets the model, the step order and the BP proposal, and
-returns its Samples.  A custom proposal is not sent to the
-workers, so run_fis refuses it with jobs > 1.
+clauses.  A run of forced steps is one edge of the tree, so a draw that
+reaches built nodes pays one uniform and one step per free choice.  The BP
+proposal is memoized for the run on the step and the forced literals of the
+step's clause, the only ones it reads.  A leaf's state is also its counting
+model.  When its residual is empty, every variable is forced or free, and
+the log count (ln 2 per free variable) and marginals are written down with
+no search; otherwise one fdc_marginals search on the forced true literals as
+unit clauses plus the residual gives them.  The Sample keeps the exact
+marginals of its formula's solutions, so fis_marginals only averages them.
+Every draw goes through _draws, in this process for jobs=1 and in each
+worker otherwise; a worker gets the model, the step order and the BP
+proposal without its memo, and returns its Samples.  A custom proposal is
+not sent to the workers, so run_fis refuses it with jobs > 1.
 
 The variable sampler draws each variable independently from a per-variable
 Bernoulli proposal and weights assignments by potential over proposal mass;
@@ -37,13 +42,12 @@ assignments violating a hard clause get weight zero.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +56,7 @@ from .fdc import FORMULA, InstanceTooLargeError, fdc_marginals
 from .fdc import fdc_count  # noqa: F401  perfbench/run.py wraps this name
 from .model import BareClause, Clause, PropMRF, literal_key
 from .sat import is_satisfiable, unit_propagate
+from .simplify import LN2
 
 _CLAMP = 1e-9
 
@@ -198,14 +203,23 @@ def _extend(state: _State, extension: Sequence[BareClause]) -> _State | None:
 
 
 class _Node:
-    """A prefix in the sampler's tree: its state until it is expanded, then
-    its branches as (value, probability, child); a leaf's finished Sample."""
+    """A prefix in the sampler's tree.
 
-    __slots__ = ("state", "branches", "sample")
+    Until it is expanded it holds its state.  Expanding walks the forced
+    steps after the prefix, whose values become run, the node's one edge, and
+    stops at the first free step or after the last step.  A branching node
+    then holds p, the probability that its free step is true, and its true
+    and false children, whose prefixes end in that step.  A leaf keeps its
+    state until it is finished, then its Sample."""
 
-    def __init__(self, state: _State | None):
-        self.state = state
-        self.branches: tuple[tuple[bool, float, _Node], ...] | None = None
+    __slots__ = ("state", "run", "p", "true", "false", "sample")
+
+    def __init__(self, state: _State):
+        self.state: _State | None = state
+        self.run: tuple[bool, ...] | None = None
+        self.p: float | None = None
+        self.true: _Node | None = None
+        self.false: _Node | None = None
         self.sample: Sample | None = None
 
 
@@ -224,9 +238,24 @@ def _step_extensions(m: PropMRF, order: Sequence[int]) -> _Extensions:
     return extensions
 
 
-_NodeProposal = Callable[[int, tuple[bool, ...], set[int]], float]
+_NodeProposal = Callable[[int, Sequence[bool], set[int]], float]
 """The sampler's proposal form: (step index, values of earlier steps, the
-literals that those values and the hard clauses force true) to P(true)."""
+literals that those values and the hard clauses force true) to P(true).  The
+values are the sampler's own list, valid only during the call."""
+
+
+def _solved_leaf(num_vars: int, true: set[int]) -> tuple[float, np.ndarray]:
+    """What fdc_marginals returns for a leaf whose residual is empty, without
+    the search: simplify's log count, LN2 added once per free variable, and
+    fdc._lift's marginals, 1 or 0 for a forced variable and 0.5 for a free
+    one."""
+    log_count = 0.0
+    for _ in range(num_vars - len(true)):
+        log_count += LN2
+    marginals = np.full(num_vars, 0.5)
+    literals = np.fromiter(true, dtype=np.int64, count=len(true))
+    marginals[np.abs(literals) - 1] = literals > 0
+    return log_count, marginals
 
 
 class _FormulaSampler:
@@ -235,15 +264,21 @@ class _FormulaSampler:
     A node is a prefix of step values.  Until it is expanded it holds the
     prefix propagated: the literals forced true and false, and the residual
     clauses, those not yet satisfied with their false literals removed.
-    Expanding a node checks both values of the next step by _extend, which
+    Expanding a node checks both values of each next step by _extend, which
     reduces the step's extension against the forced literals, propagates it
     together with the residual alone, and runs the DPLL only on a non-empty
-    residual that propagation leaves; the children's states come out of
-    those checks.  The proposal reads the node's forced true literals.  The
-    node then keeps its branches, their probabilities and its children, and
-    drops its state.  A draw is a walk down the tree, the enumeration a
-    traversal of it with an explicit stack.  A leaf is solved once, by one
-    fdc_marginals search started from its own state; it keeps the finished
+    residual that propagation leaves; the next states come out of those
+    checks.  While one value is satisfiable the step is forced: its value
+    joins the node's run and the walk goes on from its state.  At the first
+    step where both are, the proposal reads the forced true literals (the BP
+    proposal answers a repeated question from its memo, see _BpProposal),
+    and the node keeps that probability and its two children and drops its
+    state.  So an edge of the tree is one free choice followed by the run of
+    forced steps behind it.  A draw walks the tree, taking one uniform per
+    free choice, and the enumeration traverses it with an explicit stack.  A
+    leaf is solved once: with an empty residual every variable is forced or
+    free, and the result is written down (_solved_leaf); otherwise by one
+    fdc_marginals search started from its own state.  It keeps the finished
     Sample, with the formula's log count and marginals, and drops the state.
     """
 
@@ -255,105 +290,141 @@ class _FormulaSampler:
         # The hard clauses were checked satisfiable at the sampler's entry.
         self.root = _Node(unit_propagate(m[1]))
 
-    def _expand(
-        self, node: _Node, pos: int, values: Sequence[bool]
-    ) -> tuple[tuple[bool, float, _Node], ...]:
-        """Record the values step pos can take after node's prefix, each
-        with its probability: both by the proposal when both extensions are
-        satisfiable, else the satisfiable one with probability one."""
+    def _expand(self, node: _Node, values: list[bool]) -> None:
+        """Walk the steps after node's prefix, which values holds, appending
+        each forced value to values and to node.run; then branch at the
+        first step where both values are satisfiable, by the proposal, or
+        make node a leaf after the last step."""
         state = node.state
-        node.state = None
-        children = []
-        for value in (True, False):
-            child = _extend(state, self._extensions[pos][value])
-            if child is not None:
-                children.append((value, _Node(child)))
-        if len(children) == 2:
-            p = float(self.proposal(pos, tuple(values), state[0]))
-            if math.isnan(p):
-                raise ValueError(
-                    f"the proposal returned NaN at step {pos} "
-                    f"(soft clause {self.soft_steps[pos]})"
+        start = len(values)
+        for pos in range(start, len(self._extensions)):
+            if_false, if_true = self._extensions[pos]
+            on_true, on_false = _extend(state, if_true), _extend(state, if_false)
+            if on_true is not None and on_false is not None:
+                p = float(self.proposal(pos, values, state[0]))
+                if math.isnan(p):
+                    raise ValueError(
+                        f"the proposal returned NaN at step {pos} "
+                        f"(soft clause {self.soft_steps[pos]})"
+                    )
+                node.p = min(max(p, _CLAMP), 1.0 - _CLAMP)
+                node.true, node.false = _Node(on_true), _Node(on_false)
+                node.state = None
+                break
+            if on_true is None and on_false is None:
+                raise NoConsistentSampleError(
+                    "both extensions of a satisfiable prefix are unsatisfiable"
                 )
-            p = min(max(p, _CLAMP), 1.0 - _CLAMP)
-            node.branches = ((True, p, children[0][1]), (False, 1.0 - p, children[1][1]))
-        elif children:
-            value, child = children[0]
-            node.branches = ((value, 1.0, child),)
+            values.append(on_false is None)
+            state = on_true if on_false is None else on_false
         else:
-            raise NoConsistentSampleError(
-                "both extensions of a satisfiable prefix are unsatisfiable"
-            )
-        return node.branches
+            node.state = state
+        node.run = tuple(values[start:])
 
     def _finish(self, leaf: _Node, values: Sequence[bool], qb: float) -> Sample:
         num_vars, _, soft = self.model
         true, _, residual = leaf.state
         leaf.state = None
-        counting = (num_vars, (*(frozenset((lit,)) for lit in true), *residual), ())
-        exact = fdc_marginals(counting, mode=FORMULA)
+        if residual:
+            counting = (num_vars, (*(frozenset((lit,)) for lit in true), *residual), ())
+            exact = fdc_marginals(counting, mode=FORMULA)
+            log_count, marginals = exact.log_z, exact.marginals
+        else:
+            log_count, marginals = _solved_leaf(num_vars, true)
         leaf.sample = Sample(
             h=FormulaAssignment(tuple(values)),
             qb=qb,
-            log_count=exact.log_z,
+            log_count=log_count,
             log_soft_weight=sum(
                 soft[j][1] for j, value in zip(self.soft_steps, values) if value
             ),
             log_qb=math.log(qb) if qb >= sys.float_info.min else self._log_qb(values),
-            marginals=exact.marginals,
+            marginals=marginals,
         )
         return leaf.sample
 
     def _log_qb(self, values: Sequence[bool]) -> float:
         """log qb of the path values takes from the root, summed branch by
         branch, for a qb that has lost precision or underflowed."""
-        node = self.root
-        log_qb = 0.0
-        for value in values:
-            p, node = next((p, child) for v, p, child in node.branches if v == value)
-            log_qb += math.log(p)
+        node, pos, log_qb = self.root, 0, 0.0
+        while node.p is not None:
+            pos += len(node.run)
+            if values[pos]:
+                log_qb += math.log(node.p)
+                node = node.true
+            else:
+                log_qb += math.log(1.0 - node.p)
+                node = node.false
+            pos += 1
         return log_qb
 
-    def draw(self, rng: np.random.Generator) -> Sample:
-        node = self.root
-        values: list[bool] = []
-        qb = 1.0
-        for pos in range(len(self._extensions)):
-            branches = node.branches or self._expand(node, pos, values)
-            if len(branches) == 2 and rng.random() >= branches[0][1]:
-                value, p, node = branches[1]
+    def draw(self, uniforms: Iterator[float]) -> Sample:
+        """One draw: at each free choice, true when the next uniform is
+        below its probability."""
+        node, values, qb = self.root, [], 1.0
+        while True:
+            if node.run is None:
+                self._expand(node, values)
             else:
-                value, p, node = branches[0]
-            qb *= p
-            values.append(value)
-        return node.sample or self._finish(node, values, qb)
+                values += node.run
+            p = node.p
+            if p is None:
+                return node.sample or self._finish(node, values, qb)
+            if next(uniforms) < p:
+                qb *= p
+                values.append(True)
+                node = node.true
+            else:
+                qb *= 1.0 - p
+                values.append(False)
+                node = node.false
 
     def enumerate(self) -> list[Sample]:
         """Every leaf with its draw probability, true branches first."""
         samples: list[Sample] = []
-        stack: list[tuple[_Node, tuple[bool, ...], float]] = [(self.root, (), 1.0)]
+        stack: list[tuple[_Node, list[bool], float]] = [(self.root, [], 1.0)]
         while stack:
             node, values, qb = stack.pop()
-            pos = len(values)
-            if pos == len(self._extensions):
+            if node.run is None:
+                self._expand(node, values)
+            else:
+                values += node.run
+            p = node.p
+            if p is None:
                 samples.append(node.sample or self._finish(node, values, qb))
                 continue
-            branches = node.branches or self._expand(node, pos, values)
-            for value, p, child in reversed(branches):
-                stack.append((child, values + (value,), qb * p))
+            stack.append((node.false, [*values, False], qb * (1.0 - p)))
+            stack.append((node.true, [*values, True], qb * p))
         return samples
 
 
-def _bp_proposal(
-    marginals: BpMarginals,
-    order: Sequence[int],
-    pos: int,
-    values: tuple[bool, ...],
-    true: set[int],
-) -> float:
-    """The factor-belief proposal at step pos of order; bound to its first
-    two arguments with functools.partial, it pickles for the workers."""
-    return formula_proposal(marginals, true, order[pos])
+class _BpProposal:
+    """The factor-belief proposal at each step of order, memoized.
+
+    formula_proposal reads the forced literals only on the variables of the
+    step's clause, so the memo is keyed on the step and on those forced
+    literals.  It lives as long as the object, one run; a pickled proposal,
+    as the workers get it, carries the BP run and the order, not the memo.
+    """
+
+    def __init__(self, marginals: BpMarginals, order: Sequence[int]):
+        self.marginals = marginals
+        self.order = order
+        self._scopes = [
+            frozenset(lit for v in marginals.soft_factor(i)[0] for lit in (v, -v))
+            for i in order
+        ]
+        self._memo: dict[tuple[int, frozenset[int]], float] = {}
+
+    def __reduce__(self):
+        return _BpProposal, (self.marginals, self.order)
+
+    def __call__(self, pos: int, values: Sequence[bool], true: set[int]) -> float:
+        key = (pos, self._scopes[pos] & true)
+        p = self._memo.get(key)
+        if p is None:
+            p = self._memo[key] = formula_proposal(self.marginals, true, self.order[pos])
+        return p
 
 
 def _validate_sampling_model(m: PropMRF) -> None:
@@ -390,9 +461,16 @@ def _formula_sampling(
     _validate_sampling_model(m)
     order = tuple(_resolve_h_order(len(m.soft), h_order))
     if proposal is not None:
-        return order, lambda pos, values, true: proposal(pos, values), None
+        return order, lambda pos, values, true: proposal(pos, tuple(values)), None
     marginals = run_bp(m, bp_config)
-    return order, functools.partial(_bp_proposal, marginals, order), marginals
+    return order, _BpProposal(marginals, order), marginals
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """rng's uniform doubles one at a time, drawn in blocks: random(k) gives
+    the same doubles as k calls of random()."""
+    while True:
+        yield from rng.random(1024).tolist()
 
 
 def _draws(args) -> list[Sample]:
@@ -400,8 +478,8 @@ def _draws(args) -> list[Sample]:
     int or a SeedSequence): run_fis's draws, in this process or a worker's."""
     m, order, proposal, n, seed = args
     sampler = _FormulaSampler(m, order, proposal)
-    rng = np.random.default_rng(seed)
-    return [sampler.draw(rng) for _ in range(n)]
+    uniforms = _uniforms(np.random.default_rng(seed))
+    return [sampler.draw(uniforms) for _ in range(n)]
 
 
 def run_fis(

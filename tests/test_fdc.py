@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 
@@ -409,3 +410,28 @@ def test_search_nests_deeper_than_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert abs(got.log_z - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("search", ["count", "marginals", "minimal"])
+def test_searches_leave_no_cyclic_garbage(search):
+    # A search's cache or memo is freed when the call returns, by reference
+    # counting, not left to the cyclic collector.
+    m = gen_random(16, 16, 4, seed=3)
+    calls = {
+        "count": lambda: fdc_count(m, ve_width_threshold=0),
+        "marginals": lambda: fdc_marginals(m, ve_width_threshold=0),
+        "minimal": lambda: minimal_search_space(
+            PropMRF.from_lists(
+                5, soft=[(0.5, [1, 2, 3]), (0.2, [2, 3, 4]), (-0.4, [3, 4, 5]), (0.3, [1, 5])]
+            )
+        ),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        calls[search]()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

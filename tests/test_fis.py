@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -22,13 +23,21 @@ from propmrf import (
     fis_marginals,
     gen_qmr,
     gen_random,
+    pick_evidence,
     run_fis,
     run_vis,
     sum_kld,
     u_from_q,
     vis_marginals,
 )
-from propmrf.fis import estimate_from_log_weights, vis_log_weights
+from propmrf.bp import formula_proposal, run_bp
+from propmrf.fdc import FORMULA, fdc_marginals
+from propmrf.fis import (
+    _BpProposal,
+    _FormulaSampler,
+    estimate_from_log_weights,
+    vis_log_weights,
+)
 
 from conftest import random_mixed_model
 
@@ -485,3 +494,185 @@ def test_an_underflowed_draw_probability_keeps_its_log():
     for s in samples:
         if s.qb >= sys.float_info.min:
             assert s.log_estimate == s.log_count + s.log_soft_weight - math.log(s.qb)
+
+
+def _sample_fields(s) -> list:
+    return [
+        list(s.h.values),
+        *(float(x).hex() for x in (s.qb, s.log_count, s.log_soft_weight, s.log_qb)),
+        s.marginals.tobytes().hex(),
+    ]
+
+
+def _sampler_cases() -> dict[str, PropMRF]:
+    return {
+        "hard": sampling_model(np.random.default_rng(8670), max_vars=7, max_soft=5),
+        "golden": _golden_model(),
+        "free": gen_random(10, 8, 3, seed=8621),
+        "evidence": pick_evidence(gen_qmr(8, 8, 3, seed=8622), 0.25, seed=8622),
+    }
+
+
+def _values_proposal(pos: int, values: tuple[bool, ...]) -> float:
+    assert isinstance(values, tuple) and len(values) == pos
+    return (1 + pos + sum(values)) / (3 + 2 * pos)
+
+
+def _run_digest(name: str, jobs: int, reverse: bool) -> str:
+    custom = name == "custom"
+    m = _sampler_cases()["hard" if custom else name]
+    h_order = list(reversed(range(len(m.soft)))) if reverse else None
+    proposal = _values_proposal if custom else None
+    result = run_fis(m, 300, seed=7, h_order=h_order, jobs=jobs, proposal=proposal)
+    return _digest(
+        [
+            [_sample_fields(s) for s in result.samples],
+            fis_marginals(result).tobytes().hex(),
+            result.estimate.log_z_hat.hex(),
+        ]
+    )
+
+
+def _enumeration_digest(name: str) -> str:
+    if name == "golden":
+        samples = enumerate_formula_assignments(_golden_model())
+    else:
+        m = _sampler_cases()["hard"]
+        samples = enumerate_formula_assignments(
+            m, proposal=_values_proposal, h_order=list(reversed(range(len(m.soft))))
+        )
+    return _digest([_sample_fields(s) for s in samples])
+
+
+# Digests of every sample field, the marginal estimate and log_z_hat, as the
+# step-by-step walk of the sampler's tree gave them: keyed (model, jobs,
+# reversed h_order), and per model for the enumeration.
+_RUN_DIGESTS = {
+    ("hard", 1, False): "408b3a3999ab98553b2605f4bba35aab5b10cc6863fe52200f47e9971506cf10",
+    ("hard", 1, True): "c6df335f189a83eab18d6ef33ba85f2ef4181c58dcd055a4f44e370fce20be65",
+    ("hard", 2, False): "ed4cc9e12f821d4f66ddb4767261a6ca69feaa21022f99776380bcd22ca7de81",
+    ("hard", 2, True): "391b8eb3d6186c38e5b24cd4463bb801fafc538a58734b4365a2b54c56b5faf3",
+    ("golden", 1, False): "aa87023771a475e11de9198a3651d07243944b7235e37a6551ad3764a9f1e1c5",
+    ("golden", 1, True): "125d32443ba7b6bbbd624207baea691636e0efbc619ddbadde5e4c9f4d7d3cde",
+    ("golden", 2, False): "2cf7c2bd08e1e98c9400ecbde7fb4a0ac04ff95fa73569e712b14a24a8d6f3a6",
+    ("golden", 2, True): "1f5ccd8fd195ddb0e2de8fbb9de28d5e3940e287b4af594e7e56d23b7fc3aaff",
+    ("free", 1, False): "119cc97200fd35191babd2e1eb9bdec45201741651a64c663230eb0cdea16c07",
+    ("free", 1, True): "9f0e9b409f4abad3b9d0787bf56153efe31c3ef8656cf499e9be7160b8231274",
+    ("free", 2, False): "801040aaa5ce1db1c168f69b09c85472cb77511f87f2d54ca85dfc8a9f8e76ee",
+    ("free", 2, True): "d6ea9d02c95682026e52792cc0402b72e63d4d801c16246d7ccee7c5ca93b805",
+    ("evidence", 1, False): "e2f629391d1598257da1dd84d29ab771a03fec9cf7a864087ddf6e92402d273f",
+    ("evidence", 1, True): "9445f9dd36ed8b79b65905bd45278318f88c31ceff7ec1953ec0c6d01e020305",
+    ("evidence", 2, False): "09fbb4a8163f6de5cd8fc18674fb35938c2c7d6d509f5dc37fab26f528577b7f",
+    ("evidence", 2, True): "ceac0d9f578a83523b5dbec9f2fa43114a5d971aa8b983cfdcd3e828b7536ef9",
+    ("custom", 1, False): "60b545fa9b5ef351b05e273f79312bb5acdd5f570354761e452e8b29bba28236",
+    ("custom", 1, True): "67704b705c7bb7077031a9b89606684152d930d0cbee502d731182766be2488a",
+}
+_ENUMERATION_DIGESTS = {
+    "golden": "aecea65b7898c65000cc3138404ae6f60c38e1a3e5e56a24cc892369b8daf24a",
+    "hard": "d9ccc8dd3741945026feefcdad355ec4b2ebe870a7a70a4aaa483bf296ba5671",
+}
+
+
+@pytest.mark.parametrize("name, jobs, reverse", sorted(_RUN_DIGESTS))
+def test_sampler_results_are_pinned(name, jobs, reverse):
+    assert _run_digest(name, jobs, reverse) == _RUN_DIGESTS[name, jobs, reverse]
+
+
+@pytest.mark.parametrize("name", sorted(_ENUMERATION_DIGESTS))
+def test_enumeration_results_are_pinned(name):
+    assert _enumeration_digest(name) == _ENUMERATION_DIGESTS[name]
+
+
+def _models_with_hard_clauses() -> list[PropMRF]:
+    rng = np.random.default_rng(8631)
+    models = [_golden_model(), _sampler_cases()["evidence"]]
+    while len(models) < 6:
+        m = sampling_model(rng, max_vars=7, max_soft=5)
+        if m.hard:
+            models.append(m)
+    return models
+
+
+def test_memoized_proposals_equal_fresh_ones():
+    # Every node of each tree asks the memoized proposal, and each answer,
+    # hit or miss, equals formula_proposal asked afresh at that node.
+    calls = misses = 0
+    for m in _models_with_hard_clauses():
+        order = tuple(reversed(range(len(m.soft))))
+        marginals = run_bp(m)
+        memoized = _BpProposal(marginals, order)
+
+        def checked(pos, values, true):
+            nonlocal calls
+            calls += 1
+            p = memoized(pos, values, true)
+            assert p == formula_proposal(marginals, true, order[pos])
+            return p
+
+        _FormulaSampler(m, order, checked).enumerate()
+        misses += len(memoized._memo)
+    assert misses < calls
+
+
+def test_a_pickled_proposal_carries_no_memo():
+    m = _golden_model()
+    order = tuple(range(len(m.soft)))
+    marginals = run_bp(m)
+    used = _BpProposal(marginals, order)
+    _FormulaSampler(m, order, used).enumerate()
+    assert used._memo
+    sent = pickle.loads(pickle.dumps(used))
+    assert sent._memo == {}
+    assert len(pickle.dumps(used)) == len(pickle.dumps(_BpProposal(marginals, order)))
+    for (pos, literals), p in used._memo.items():
+        assert sent(pos, [], set(literals)) == p
+
+
+def test_qmr_proposal_runs_once_per_key(monkeypatch):
+    # The qmr pin's draws ask formula_proposal once per (step, forced
+    # literals of the step's clause), 26 times; unmemoized, the same draws
+    # asked it 1 485 times.
+    keys = []
+
+    def counting(marginals, true, i):
+        scope = marginals.soft_factor(i)[0]
+        keys.append((i, frozenset(lit for lit in true if abs(lit) in scope)))
+        return formula_proposal(marginals, true, i)
+
+    monkeypatch.setattr("propmrf.fis.formula_proposal", counting)
+    fis = run_fis(gen_qmr(15, 15, 7, seed=8613), 200, seed=5)
+    assert fis.estimate.log_z_hat == _QMR_PINS[1][0]
+    assert len(keys) == len(set(keys)) == 26
+
+
+def test_empty_residual_leaves_match_the_search(monkeypatch):
+    # A leaf with an empty residual writes down the log count and marginals
+    # that fdc_marginals returns on its forced literals as unit clauses.
+    # Among these leaves are ones with no free variable (qmr) and one where
+    # every variable is free (no clauses at all).
+    finish = _FormulaSampler._finish
+    free_shares = []
+
+    def compared(self, leaf, values, qb):
+        true, _, residual = leaf.state
+        sample = finish(self, leaf, values, qb)
+        if not residual:
+            num_vars = self.model.num_vars
+            units = tuple(frozenset((lit,)) for lit in true)
+            exact = fdc_marginals((num_vars, units, ()), mode=FORMULA)
+            assert sample.log_count.hex() == exact.log_z.hex()
+            assert sample.marginals.tobytes() == exact.marginals.tobytes()
+            free_shares.append((num_vars - len(true)) / num_vars)
+        return sample
+
+    monkeypatch.setattr(_FormulaSampler, "_finish", compared)
+    for m in (
+        gen_qmr(6, 6, 3, seed=8632),
+        _golden_model(),
+        # 28 and 30 free variables: from 25 on, adding ln 2 one at a time
+        # differs from a product in the last bit
+        PropMRF.from_lists(30, soft=[(0.5, [1]), (0.3, [-2])]),
+        PropMRF(30),
+    ):
+        enumerate_formula_assignments(m)
+    assert min(free_shares) == 0.0 and max(free_shares) == 1.0
