@@ -15,22 +15,36 @@ and raises an error naming it.
 run_bp compiles the graph once into flat arrays.  Edges are numbered
 factor-major (factors hard then soft, each scope ascending), and each
 direction's messages form one (edges, 2) array.  A (variable, slot) table
-lists each variable's edges in factor order, and the factor tables are
-stacked per arity, so one iteration is a fixed number of numpy operations
-set by the largest degree and the arities, not by the number of edges.  Each
-message still runs the float operations of a one-edge-at-a-time update, in
-the same order: a variable multiplies its incoming messages left to right,
-with a row of ones in the excluded slot, and a factor multiplies its table
-by the other axes' messages in scope order and sums those axes out one at a
-time in ascending order.  The first edge, in that numbering, whose message
-has no mass names the variable of the error.
+lists each variable's edges in factor order, so the variable side of an
+iteration is one multiply per slot up to the largest degree.  Each message
+still runs the float operations of a one-edge-at-a-time update, in the same
+order: a variable multiplies its incoming messages left to right, with a row
+of ones in the excluded slot, and a factor multiplies its table by the other
+axes' messages in scope order and sums those axes out one at a time in
+ascending order.  The first edge, in that numbering, whose message has no
+mass names the variable of the error.
+
+The factor side builds no table.  A clause factor is one constant c_sat
+except at the one row x* that falsifies the clause, where it is c_unsat.  So
+each entry of the product behind the message to axis j is the chain
+c_sat * v_a0[x_a0] * v_a1[x_a1] * ... over the other axes in ascending
+order, the roundings of the table update, and the entry at x* is that chain
+started from c_unsat.  The kernel grows the chains as a product tree whose
+level p multiplies in the p-th other axis as the new top bit, writes in the
+x* entry as its scalar chain, puts x_j on top, and sums the other axes out
+in ascending order as halvings of the lowest bit, each x0 + x1 as numpy's
+sum over a length-2 axis gives it.  The (factor, kept axis) rows of one
+arity k run together, in blocks of at most _BLOCK_ENTRIES table entries.
+An iteration costs Theta(k 2^k) flops per factor and O(k) numpy calls per
+block, where rebuilding each message from the table took Theta(k^2 2^k)
+flops and k(k - 1) multiplies and sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +52,10 @@ from .model import PropMRF
 from .ve import clause_truth_table
 
 _CLAMP = 1e-9
+
+# The most table entries (doubles) one block of factor rows holds; it bounds
+# the kernel's working set on wide clauses.
+_BLOCK_ENTRIES = 1 << 17
 
 
 class DegenerateBeliefError(RuntimeError):
@@ -89,13 +107,16 @@ class BpMarginals:
         return self.factor_scopes[self.n_hard + i], self.factor_tables[self.n_hard + i]
 
 
-def _soft_potential(sat: np.ndarray, weight: float) -> np.ndarray:
-    """exp(weight) where the clause holds and 1 elsewhere; when exp(weight) is
-    beyond float range, that table divided by exp(weight)."""
+def _potentials(weight: float | None) -> tuple[float, float]:
+    """A clause factor's values where the clause holds and where it fails:
+    1 and 0 for a hard clause (weight None); exp(weight) and 1 for a soft
+    one, or 1 and exp(-weight) when exp(weight) is beyond float range."""
+    if weight is None:
+        return 1.0, 0.0
     try:
-        return np.where(sat, math.exp(weight), 1.0)
+        return math.exp(weight), 1.0
     except OverflowError:
-        return np.where(sat, 1.0, math.exp(-weight))
+        return 1.0, math.exp(-weight)
 
 
 def _axis_vector(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -105,16 +126,14 @@ def _axis_vector(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 
 
 def _edge_layout(
-    num_vars: int, scopes: Sequence[tuple[int, ...]], tables: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    num_vars: int, scopes: Sequence[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The factor graph as flat arrays, edges numbered factor-major.
 
-    Returns (edge_var, others, slots, groups).  edge_var[e] is the variable
-    of edge e.  slots[v - 1] lists v's edges in factor order, padded to the
-    largest degree with index n_edges, the ones row; others[e] is slots of
-    e's variable with e itself replaced by the ones row too.  Each group
-    holds the factors of one arity k >= 1: their edges, shape (count, k) in
-    scope order, and their tables stacked to shape (count,) + (2,) * k.
+    Returns (edge_var, others, slots).  edge_var[e] is the variable of edge
+    e.  slots[v - 1] lists v's edges in factor order, padded to the largest
+    degree with index n_edges, the ones row; others[e] is slots of e's
+    variable with e itself replaced by the ones row too.
     """
     edge_var = np.array([v for scope in scopes for v in scope], dtype=np.intp)
     n_edges = edge_var.size
@@ -126,42 +145,77 @@ def _edge_layout(
     slots[sorted_var, rank] = by_var
     others = slots[edge_var - 1]
     others[others == np.arange(n_edges)[:, None]] = n_edges
+    return edge_var, others, slots
 
+
+class _Block(NamedTuple):
+    """Rows of the factor kernel: one (factor, kept axis j) pair each, all of
+    one arity k.  Indices into v2f are flat, into its (edges * 2) ravel."""
+
+    edges: np.ndarray  # (rows,) the edge each row's message goes to
+    vectors: np.ndarray  # (k - 1, rows, 2) the other axes' messages, ascending
+    falsifying: np.ndarray  # (k - 1, rows) their entries at the falsifying row x*
+    c_sat: np.ndarray  # (rows, 1)
+    c_unsat: np.ndarray  # (rows,)
+    put: np.ndarray  # (rows,) flat position of x* in the rows' tables
+
+
+def _factor_blocks(
+    scopes: Sequence[tuple[int, ...]],
+    falsifying: Sequence[tuple[int, ...]],
+    potentials: Sequence[tuple[float, float]],
+) -> list[_Block]:
+    """The factor kernel's rows, grouped by arity and cut into blocks of at
+    most _BLOCK_ENTRIES table entries; a row of a wider table is a block of
+    its own.  falsifying[f] holds the values of x* along f's scope."""
     first_edge = np.cumsum([0] + [len(scope) for scope in scopes])
-    groups = []
+    blocks = []
     for k in sorted({len(scope) for scope in scopes} - {0}):
         members = [fi for fi, scope in enumerate(scopes) if len(scope) == k]
-        groups.append(
-            (
-                first_edge[members][:, None] + np.arange(k),
-                np.stack([tables[fi] for fi in members]),
+        n_rows = len(members) * k
+        edges = first_edge[members][:, None] + np.arange(k)
+        star = np.array([falsifying[fi] for fi in members], dtype=np.intp)
+        c_sat, c_unsat = np.repeat([potentials[fi] for fi in members], k, axis=0).T
+        other = np.array([[a for a in range(k) if a != j] for j in range(k)], dtype=np.intp)
+        other = other.reshape(k, k - 1)
+        other_edges = edges[:, other].reshape(n_rows, k - 1).T
+        other_star = star[:, other].reshape(n_rows, k - 1).T
+        # x_j is the top bit of a row's table and the p-th other axis bit p;
+        # the tables of a block's rows lie one after another
+        per_block = max(1, _BLOCK_ENTRIES >> k)
+        put = star.reshape(n_rows) << (k - 1) | (np.arange(n_rows) % per_block) << k
+        for p, bit in enumerate(other_star):
+            put |= bit << p
+        for start in range(0, n_rows, per_block):
+            rows = slice(start, start + per_block)
+            blocks.append(
+                _Block(
+                    edges.reshape(n_rows)[rows],
+                    2 * other_edges[:, rows, None] + np.arange(2),
+                    2 * other_edges[:, rows] + other_star[:, rows],
+                    c_sat[rows, None],
+                    c_unsat[rows],
+                    put[rows],
+                )
             )
-        )
-    return edge_var, others, slots, groups
+    return blocks
 
 
-def _factor_messages(edges: np.ndarray, stacked: np.ndarray, v2f: np.ndarray) -> np.ndarray:
-    """Unnormalized factor-to-variable messages for one arity group, shape
-    (count, k, 2): for each kept axis, the table times the incoming messages
-    of the other axes in scope order, summed over those axes in ascending
-    order."""
-    count, k = edges.shape
-    incoming = v2f[edges]
-    vectors = [
-        incoming[:, axis].reshape((count,) + (1,) * axis + (2,) + (1,) * (k - 1 - axis))
-        for axis in range(k)
-    ]
-    out = np.empty((count, k, 2))
-    for keep in range(k):
-        tensor = stacked
-        for axis in range(k):
-            if axis != keep:
-                tensor = tensor * vectors[axis]
-        for axis in range(k):
-            if axis != keep:
-                tensor = tensor.sum(axis=axis + 1, keepdims=True)
-        out[:, keep] = tensor.reshape(count, 2)
-    return out
+def _block_messages(block: _Block, v2f: np.ndarray) -> np.ndarray:
+    """Unnormalized factor-to-variable messages of one block's rows, shape
+    (rows, 2), by the product tree; v2f is flat."""
+    at_star = block.c_unsat
+    for entry in v2f.take(block.falsifying):
+        at_star = at_star * entry
+    tree = block.c_sat
+    for vector in v2f.take(block.vectors):
+        tree = (vector[:, :, None] * tree[:, None, :]).reshape(len(tree), -1)
+    table = np.concatenate((tree, tree), axis=1)
+    del tree  # the halvings reuse its memory
+    table.put(block.put, at_star)
+    while table.shape[1] > 2:
+        table = table[:, 0::2] + table[:, 1::2]
+    return table
 
 
 def _damped(old: np.ndarray, raw: np.ndarray, damping: float, edge_var: np.ndarray) -> np.ndarray:
@@ -186,20 +240,22 @@ def run_bp(m: PropMRF, config: BpConfig = BpConfig()) -> BpMarginals:
     start uniform, so the run is deterministic.
     """
     num_vars, hard, soft = m
+    clauses = [(clause, None) for clause in hard] + list(soft)
     scopes: list[tuple[int, ...]] = []
     sats: list[np.ndarray] = []
     tables: list[np.ndarray] = []
-    for clause in hard:
+    falsifying: list[tuple[int, ...]] = []
+    potentials: list[tuple[float, float]] = []
+    for clause, weight in clauses:
         scope, sat = clause_truth_table(clause)
+        c_sat, c_unsat = _potentials(weight)
         scopes.append(scope)
         sats.append(sat)
-        tables.append(sat.astype(np.float64))
-    for clause, weight in soft:
-        scope, sat = clause_truth_table(clause)
-        scopes.append(scope)
-        sats.append(sat)
-        tables.append(_soft_potential(sat, weight))
-    edge_var, others, slots, groups = _edge_layout(num_vars, scopes, tables)
+        tables.append(np.where(sat, c_sat, c_unsat))
+        falsifying.append(tuple(int(lit < 0) for lit in sorted(clause, key=abs)))
+        potentials.append((c_sat, c_unsat))
+    edge_var, others, slots = _edge_layout(num_vars, scopes)
+    blocks = _factor_blocks(scopes, falsifying, potentials)
     n_edges = edge_var.size
 
     # row n_edges of f2v is the ones row behind excluded and padded slots
@@ -219,9 +275,10 @@ def run_bp(m: PropMRF, config: BpConfig = BpConfig()) -> BpMarginals:
         delta = _largest_change(new_v2f, v2f)
         v2f = new_v2f
 
+        flat = v2f.ravel()
         message = np.empty((n_edges, 2))
-        for edges, stacked in groups:
-            message[edges] = _factor_messages(edges, stacked, v2f)
+        for block in blocks:
+            message[block.edges] = _block_messages(block, flat)
         new_f2v = _damped(f2v[:n_edges], message, d, edge_var)
         delta = max(delta, _largest_change(new_f2v, f2v[:n_edges]))
         f2v[:n_edges] = new_f2v

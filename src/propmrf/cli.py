@@ -13,7 +13,10 @@ all-zero sample weights, collapsed beliefs), 7 unexpected internal error.
 
 Linear-scale result fields (z, z_hat, std_error, sample_variance) are null
 when they lie beyond float range; the log-space fields beside them are
-authoritative.
+authoritative.  A log-space field is null when its value is the log of zero;
+the linear field beside it then reads 0.  A report carries no NaN or
+Infinity: one that would is an internal error (exit 7), and --ve-width
+beyond ve.MAX_TABLE_WIDTH exits 5 before the model is read.
 
 Environment: PROPMRF_SEED and PROPMRF_JOBS provide defaults for --seed and
 --jobs.
@@ -65,7 +68,7 @@ from .model import (
     parse_query,
     write_model,
 )
-from .ve import VeWidthError, ve_count
+from .ve import MAX_TABLE_WIDTH, VeWidthError, ve_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,7 +126,10 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise RuntimeError(f"the report holds a non-finite value: {exc}") from exc
     if output is None:
         sys.stdout.write(text)
     else:
@@ -133,6 +139,11 @@ def _emit(report: dict, output: str | None) -> None:
 def _linear(value: float) -> float | None:
     """A linear-scale report field: null (None) when beyond float range."""
     return None if math.isinf(value) else value
+
+
+def _log_field(log_value: float) -> float | None:
+    """A log-space report field: null (None) for the log of zero."""
+    return None if log_value == -math.inf else log_value
 
 
 def _exp_or_null(log_value: float) -> float | None:
@@ -232,7 +243,7 @@ def _cmd_count(args: argparse.Namespace) -> dict:
         "method": args.method,
         "cache": args.cache == "on",
         "ve_width": args.ve_width,
-        "result": {"log_z": log_z, "z": _exp_or_null(log_z)},
+        "result": {"log_z": _log_field(log_z), "z": _exp_or_null(log_z)},
         "stats": stats,
     }
 
@@ -257,10 +268,10 @@ def _cmd_prob(args: argparse.Namespace) -> dict:
         "cache": args.cache == "on",
         "ve_width": args.ve_width,
         "result": {
-            "log_prob": log_prob,
+            "log_prob": _log_field(log_prob),
             "prob": math.exp(log_prob),
             "log_z_model": log_z,
-            "log_z_query": log_zq,
+            "log_z_query": _log_field(log_zq),
         },
     }
 
@@ -338,7 +349,7 @@ def _cmd_sample(args: argparse.Namespace) -> dict:
         "jobs": jobs,
         "bp": _bp_block(args, result.bp),
         "result": {
-            "log_z_hat": estimate.log_z_hat,
+            "log_z_hat": _log_field(estimate.log_z_hat),
             "z_hat": _linear(estimate.z_hat),
             "std_error": _linear(estimate.std_error),
             "sample_variance": _linear(estimate.sample_variance),
@@ -514,6 +525,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.perf_counter()
     try:
+        if getattr(args, "ve_width", 0) > MAX_TABLE_WIDTH:
+            raise _CliError(
+                EXIT_LIMITS,
+                f"--ve-width {args.ve_width} exceeds the table width limit {MAX_TABLE_WIDTH}",
+            )
         report = args.handler(args)
         report["elapsed_seconds"] = round(time.perf_counter() - started, 6)
         _emit(report, getattr(args, "output", None))

@@ -22,7 +22,8 @@ its state is what sat.unit_propagate returns, the forced literals and the
 residual clauses.  Both the SAT checks of the next step (sat.is_satisfiable)
 and the belief propagation proposal start from that state, not from the hard
 clauses.  A run of forced steps is one edge of the tree, so a draw that
-reaches built nodes pays one uniform and one step per free choice.  The BP
+reaches built nodes pays one uniform and one step per free choice, and
+spells out the step values only from the first node it expands.  The BP
 proposal is memoized for the run on the step and the forced literals of the
 step's clause, the only ones it reads.  A leaf's state is also its counting
 model.  When its residual is empty, every variable is forced or free, and
@@ -275,7 +276,8 @@ class _FormulaSampler:
     and the node keeps that probability and its two children and drops its
     state.  So an edge of the tree is one free choice followed by the run of
     forced steps behind it.  A draw walks the tree, taking one uniform per
-    free choice, and the enumeration traverses it with an explicit stack.  A
+    free choice and keeping the values only from the first node it expands
+    (see draw), and the enumeration traverses it with an explicit stack.  A
     leaf is solved once: with an empty residual every variable is forced or
     free, and the result is written down (_solved_leaf); otherwise by one
     fdc_marginals search started from its own state.  It keeps the finished
@@ -358,18 +360,45 @@ class _FormulaSampler:
             pos += 1
         return log_qb
 
+    def _path_values(self, path: int) -> list[bool]:
+        """The values of the steps before the node that path leads to from
+        the root: path is 1 followed by one bit per free choice, 1 for
+        true."""
+        node, values = self.root, []
+        for shift in range(path.bit_length() - 2, -1, -1):
+            value = path >> shift & 1 == 1
+            values += node.run
+            values.append(value)
+            node = node.true if value else node.false
+        return values
+
     def draw(self, uniforms: Iterator[float]) -> Sample:
         """One draw: at each free choice, true when the next uniform is
-        below its probability."""
-        node, values, qb = self.root, [], 1.0
-        while True:
-            if node.run is None:
-                self._expand(node, values)
-            else:
-                values += node.run
+        below its probability.  Over built nodes the walk records its
+        choices as the bits of path and keeps no values; from the first
+        node it expands every node is new, and the values are spelled out
+        once and extended step by step."""
+        node, qb, path = self.root, 1.0, 1
+        while node.run is not None:
             p = node.p
             if p is None:
-                return node.sample or self._finish(node, values, qb)
+                return node.sample or self._finish(
+                    node, [*self._path_values(path), *node.run], qb
+                )
+            if next(uniforms) < p:
+                qb *= p
+                path += path + 1
+                node = node.true
+            else:
+                qb *= 1.0 - p
+                path += path
+                node = node.false
+        values = self._path_values(path)
+        while True:
+            self._expand(node, values)
+            p = node.p
+            if p is None:
+                return self._finish(node, values, qb)
             if next(uniforms) < p:
                 qb *= p
                 values.append(True)

@@ -17,6 +17,10 @@ Model file format::
     h <lit> <lit> ... 0          one hard clause per line
     s <weight> <lit> ... 0       one soft clause per line; the weight is finite
 
+The absolute values of the soft weights sum to at most MAX_TOTAL_WEIGHT
+(1e300), so every log potential, every difference of two, and log Z when Z
+is not zero are finite.
+
 Query file format: zero or more ``<lit> ... 0`` lines, each one clause of the
 query conjunction.
 
@@ -36,6 +40,8 @@ import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Literal = int
+
+MAX_TOTAL_WEIGHT = 1e300
 
 
 def literal_key(lit: Literal) -> tuple[int, bool]:
@@ -117,7 +123,8 @@ class PropMRF(_Model):
 
     The constructor validates: num_vars is a nonnegative integer, each hard
     clause becomes a Clause and each soft (clause, weight) pair a SoftClause
-    with a finite float weight, and every literal names a variable in range.
+    with a finite float weight, the absolute weights sum to at most
+    MAX_TOTAL_WEIGHT, and every literal names a variable in range.
     Unpickling, _make and _replace run it again.
     """
 
@@ -134,9 +141,16 @@ class PropMRF(_Model):
             raise ValueError("num_vars must be nonnegative")
         hard = tuple(map(Clause, hard))
         soft = tuple(SoftClause(Clause(c), float(w)) for c, w in soft)
+        total = 0.0
         for _, weight in soft:
             if not math.isfinite(weight):
                 raise ValueError(f"soft clause weight {weight!r} is not finite")
+            total += abs(weight)
+        if total > MAX_TOTAL_WEIGHT:
+            raise ValueError(
+                f"the absolute soft clause weights sum to {total!r}, "
+                f"beyond {MAX_TOTAL_WEIGHT!r}"
+            )
         m = super().__new__(cls, num_vars, hard, soft)
         for clause in m.iter_clauses():
             for lit in clause:
@@ -226,6 +240,7 @@ def parse_model(text: str) -> PropMRF:
     num_vars: int | None = None
     hard: list[Clause] = []
     soft: list[SoftClause] = []
+    total_weight = 0.0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if _is_comment(stripped):
@@ -261,6 +276,12 @@ def parse_model(text: str) -> PropMRF:
             if not math.isfinite(weight):
                 raise MalformedLineError(
                     line_no, f"soft clause weight {tokens[1]!r} is not finite"
+                )
+            total_weight += abs(weight)
+            if total_weight > MAX_TOTAL_WEIGHT:
+                raise MalformedLineError(
+                    line_no,
+                    f"the absolute soft clause weights sum beyond {MAX_TOTAL_WEIGHT!r}",
                 )
             clause = _parse_clause_tokens(tokens[2:], line_no, num_vars)
             soft.append(SoftClause(clause, weight))

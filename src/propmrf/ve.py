@@ -25,6 +25,10 @@ it is -inf instead of subtracting it, so hard clauses produce no NaN.  The
 downward pass only feeds the marginals, which therefore agree with a
 log-space reduction to rounding, not bit for bit.
 
+No table wider than MAX_TABLE_WIDTH variables is built: the truth tables,
+the factor builders, the bucket products and ve_count's min-fill order check
+a width against it, as against the caller's bound, before they allocate.
+
 The factor builders and ve_count take clauses as frozensets of literals
 and models as (num_vars, hard, soft) triples: a PropMRF or a plain
 model.BareModel.
@@ -44,14 +48,26 @@ from .model import BareClause, BareModel, PropMRF
 LN2 = math.log(2.0)
 _FLOOR = np.finfo(np.float64).min
 
+# The widest table any caller may build, whatever its own bound: 2^24
+# doubles are 128 MiB.
+MAX_TABLE_WIDTH = 24
+
 
 class VeWidthError(RuntimeError):
-    """An intermediate table would exceed the width bound."""
+    """A table would exceed a width bound: the caller's or MAX_TABLE_WIDTH."""
 
     def __init__(self, width: int, bound: int):
         super().__init__(f"factor width {width} exceeds bound {bound}")
         self.width = width
         self.bound = bound
+
+
+def _check_width(width: int, max_width: int = MAX_TABLE_WIDTH) -> None:
+    """Refuse a table over width variables beyond max_width or
+    MAX_TABLE_WIDTH, before it is built."""
+    bound = min(max_width, MAX_TABLE_WIDTH)
+    if width > bound:
+        raise VeWidthError(width, bound)
 
 
 @dataclass
@@ -63,7 +79,9 @@ class Factor:
 def clause_truth_table(clause: BareClause) -> tuple[tuple[int, ...], np.ndarray]:
     """The clause's scope (its variables, ascending) and its truth table: a
     boolean array of shape (2,) * len(scope) indexed by the scope's values,
-    false only at the one row that falsifies every literal."""
+    false only at the one row that falsifies every literal.  A clause wider
+    than MAX_TABLE_WIDTH raises VeWidthError."""
+    _check_width(len(clause))
     lits = sorted(clause, key=abs)
     table = np.ones((2,) * len(lits), dtype=bool)
     table[tuple(int(lit < 0) for lit in lits)] = False
@@ -81,12 +99,10 @@ def clauses_to_factors(m: BareModel, max_width: int = 20) -> list[Factor]:
     _, hard, soft = m
     factors: list[Factor] = []
     for clause in hard:
-        if len(clause) > max_width:
-            raise VeWidthError(len(clause), max_width)
+        _check_width(len(clause), max_width)
         factors.append(clause_to_factor(clause, 0.0, float("-inf")))
     for clause, weight in soft:
-        if len(clause) > max_width:
-            raise VeWidthError(len(clause), max_width)
+        _check_width(len(clause), max_width)
         factors.append(clause_to_factor(clause, weight, 0.0))
     return factors
 
@@ -103,8 +119,7 @@ def _product(factors: Sequence[Factor], max_width: int) -> tuple[tuple[int, ...]
     if len(factors) == 1:
         return factors[0].scope, factors[0].table.copy()
     scope = tuple(sorted({v for f in factors for v in f.scope}))
-    if len(scope) > max_width:
-        raise VeWidthError(len(scope), max_width)
+    _check_width(len(scope), max_width)
     table = np.zeros((2,) * len(scope))
     for f in factors:
         table += _aligned(f, scope)
@@ -239,8 +254,8 @@ def ve_count(
     """
     if order is None:
         estimate = minfill_width(m)
-        if estimate.order and estimate.width + 1 > max_width:
-            raise VeWidthError(estimate.width + 1, max_width)
+        if estimate.order:
+            _check_width(estimate.width + 1, max_width)
         order = estimate.order
     factors = clauses_to_factors(m, max_width)
     covered = set(order).union(*(f.scope for f in factors))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from propmrf import (
     run_bp,
     variable_proposal,
 )
+from propmrf import bp
 from propmrf.sat import unit_propagate
+from propmrf.ve import clause_truth_table
 
 from conftest import naive_marginals, random_mixed_model
 
@@ -274,9 +277,12 @@ def _per_edge_bp(m: PropMRF, config: BpConfig) -> tuple[np.ndarray, list, int, b
                 index[scope.index(abs(lit))] == (lit > 0) for lit in clause
             )
         scopes.append(scope)
-        tables.append(
-            sat.astype(float) if weight is None else np.where(sat, math.exp(weight), 1.0)
-        )
+        if weight is None:
+            tables.append(sat.astype(float))
+        elif weight > 709.0:  # exp(weight) overflows: the table over exp(weight)
+            tables.append(np.where(sat, 1.0, math.exp(-weight)))
+        else:
+            tables.append(np.where(sat, math.exp(weight), 1.0))
     neighbors = {v: [fi for fi, s in enumerate(scopes) if v in s] for v in range(1, m.num_vars + 1)}
 
     def along(vec, axis, ndim):
@@ -353,3 +359,118 @@ def test_empty_hard_clause_raises_a_degenerate_belief():
     with pytest.raises(DegenerateBeliefError, match="empty hard clause") as err:
         run_bp(m)
     assert err.value.var is None
+
+
+def _wide_model(rng: np.random.Generator, hard_only: bool) -> PropMRF:
+    """Clauses of arity 6 to 10 over at most 12 variables, every one on
+    variable 1, so that variable has degree 8 or more."""
+    n = int(rng.integers(10, 13))
+    clauses = []
+    for _ in range(int(rng.integers(8, 11))):
+        k = int(rng.integers(6, 11))
+        variables = [1, *(rng.choice(n - 1, size=k - 1, replace=False) + 2)]
+        clauses.append([int(v) if rng.random() < 0.5 else -int(v) for v in variables])
+    if hard_only:
+        return PropMRF(n, clauses)
+    weights = rng.choice([750.0, -750.0, 1.3, -0.7, 2.5], size=len(clauses))
+    return PropMRF(n, clauses[:2], zip(clauses[2:], weights[2:]))
+
+
+def test_matches_the_per_edge_reference_on_wide_factors():
+    # The sibling of the test above for what it leaves out: arities 6 to 10,
+    # a variable of degree 8 or more, weights of +-750 and hard-only models.
+    rng = np.random.default_rng(9401)
+    compared = 0
+    for index in range(10):
+        m = _wide_model(rng, hard_only=index % 2 == 0)
+        for config in (BpConfig(max_iters=12), BpConfig(damping=0.0, max_iters=6)):
+            try:
+                expected = _per_edge_bp(m, config)
+            except DegenerateBeliefError as err:
+                # weight -750 all but forces a clause's falsifying row
+                with pytest.raises(DegenerateBeliefError) as got:
+                    run_bp(m, config)
+                assert got.value.var == err.var
+                continue
+            got = run_bp(m, config)
+            assert np.array_equal(got.variable_p_true, expected[0])
+            assert all(np.array_equal(a, b) for a, b in zip(got.factor_tables, expected[1]))
+            assert (got.iterations, got.converged) == expected[2:]
+            compared += 1
+    assert compared >= 14
+
+
+def _table_messages(edges: np.ndarray, stacked: np.ndarray, v2f: np.ndarray) -> np.ndarray:
+    """Reference: the factor messages of one arity group, shape (count, k,
+    2), each rebuilt from its table: the table times the other axes'
+    messages in scope order, summed over those axes in ascending order."""
+    count, k = edges.shape
+    incoming = v2f[edges]
+    vectors = [
+        incoming[:, axis].reshape((count,) + (1,) * axis + (2,) + (1,) * (k - 1 - axis))
+        for axis in range(k)
+    ]
+    out = np.empty((count, k, 2))
+    for keep in range(k):
+        tensor = stacked
+        for axis in range(k):
+            if axis != keep:
+                tensor = tensor * vectors[axis]
+        for axis in range(k):
+            if axis != keep:
+                tensor = tensor.sum(axis=axis + 1, keepdims=True)
+        out[:, keep] = tensor.reshape(count, 2)
+    return out
+
+
+@pytest.mark.parametrize("block_entries", [bp._BLOCK_ENTRIES, 1 << 6])
+def test_product_tree_equals_the_table_messages_bit_for_bit(monkeypatch, block_entries):
+    # With a small block cap the rows of arity 6 and up run one per block.
+    monkeypatch.setattr(bp, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(9501)
+    potentials = [
+        (1.0, 0.0), (math.exp(0.8), 1.0), (math.exp(-1.7), 1.0), (1.0, math.exp(-720.0))
+    ]
+    for k in range(1, 11):
+        for _ in range(3):
+            count = int(rng.integers(1, 6))
+            clauses = []
+            for _ in range(count):
+                variables = rng.choice(12, size=k, replace=False) + 1
+                clauses.append([int(v) if rng.random() < 0.5 else -int(v) for v in variables])
+            chosen = [potentials[i] for i in rng.integers(0, len(potentials), size=count)]
+            falsifying = [tuple(int(l < 0) for l in sorted(c, key=abs)) for c in clauses]
+            scopes, stacked = [], []
+            for clause, (c_sat, c_unsat) in zip(clauses, chosen):
+                scope, sat = clause_truth_table(frozenset(clause))
+                scopes.append(scope)
+                stacked.append(np.where(sat, c_sat, c_unsat))
+            v2f = rng.random((count * k, 2))
+            # Exact zeros on the satisfying side, as hard units leave them;
+            # where they cover all other axes, the x* chain is the message.
+            star = np.ravel(falsifying)
+            zero = rng.random(count * k) < 0.4
+            v2f[zero, 1 - star[zero]] = 0.0
+
+            message = np.empty((count * k, 2))
+            for block in bp._factor_blocks(scopes, falsifying, chosen):
+                message[block.edges] = bp._block_messages(block, v2f.ravel())
+            edges = np.arange(count * k).reshape(count, k)
+            expected = _table_messages(edges, np.stack(stacked), v2f)
+            assert message.reshape(count, k, 2).tobytes() == expected.tobytes()
+
+
+def test_run_bp_memory_on_a_wide_clause():
+    # The tracemalloc peak of run_bp on one 16-literal clause was 2.14 MiB
+    # when each message was rebuilt from the stacked tables (numpy 2.4), and
+    # 2.08 MiB with the product tree in blocks; the tree over all 16 rows at
+    # once peaked at 12.6 MiB.
+    m = PropMRF.from_lists(16, soft=[(0.5, list(range(1, 17)))])
+    run_bp(m)
+    tracemalloc.start()
+    try:
+        run_bp(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2.14 * 2**20

@@ -9,10 +9,13 @@ from propmrf import (
     PropMRF,
     SoftClause,
     brute_force_marginals,
+    VeWidthError,
     brute_force_z,
     fdc_count,
     gen_random,
     model_fingerprint,
+    run_bp,
+    ve_count,
     write_model,
 )
 from propmrf.cli import main
@@ -455,3 +458,93 @@ def test_bp_convergence_is_reported(soft_model_file, capsys):
             assert bp["converged"] is False
             assert bp["iterations"] == bp["max_iters"] == 1
             assert bp["final_delta"] > 0.0
+
+
+def strict_json(text: str) -> dict:
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_zero_partition_function_reports_null_logs(tmp_path, capsys):
+    unsat = tmp_path / "unsat.pmrf"
+    unsat.write_text(write_model(PropMRF.from_lists(2, hard=[[1], [-1]], soft=[(0.5, [2])])))
+    for method in ("fdc", "vdc", "ve", "brute"):
+        code, out, err = run_cli(["count", str(unsat), "--method", method], capsys)
+        assert code == 0, err
+        assert strict_json(out)["result"] == {"log_z": None, "z": 0.0}
+
+    sat = tmp_path / "sat.pmrf"
+    sat.write_text(write_model(PropMRF.from_lists(2, hard=[[2]], soft=[(0.5, [1])])))
+    query = tmp_path / "query.txt"
+    query.write_text("-2 0\n")
+    code, out, err = run_cli(["prob", str(sat), str(query)], capsys)
+    assert code == 0, err
+    result = strict_json(out)["result"]
+    assert (result["log_prob"], result["prob"], result["log_z_query"]) == (None, 0.0, None)
+    assert result["log_z_model"] == pytest.approx(math.log1p(math.exp(0.5)))
+
+
+def test_weights_beyond_the_bound_exit_4_naming_the_line(tmp_path, capsys):
+    # Two weights of 1e308 put log Z beyond float range, which used to come
+    # out as NaN or Infinity with exit 0; 6e299 twice is finite but passes
+    # the bound of 1e300 on the second clause.
+    for text, line in (
+        ("p pmrf 2\ns 1e308 1 0\ns 1e308 2 0\n", "line 2"),
+        ("p pmrf 2\ns 6e299 1 0\ns 6e299 2 0\n", "line 3"),
+    ):
+        path = tmp_path / "heavy.pmrf"
+        path.write_text(text)
+        for argv in (
+            ["count", "--method", "fdc"],
+            ["count", "--method", "ve"],
+            ["count", "--method", "brute"],
+            ["sample", "--method", "fis", "--samples", "10"],
+            ["sample", "--method", "vis", "--samples", "10"],
+            ["marginals"],
+        ):
+            code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+            assert (code, out) == (4, "")
+            assert line in err
+
+
+def test_a_non_finite_report_is_an_internal_error(mixed_model_file, capsys, monkeypatch):
+    path, _ = mixed_model_file
+    monkeypatch.setattr("propmrf.cli.ve_count", lambda m, max_width: math.nan)
+    code, out, err = run_cli(["count", path, "--method", "ve"], capsys)
+    assert (code, out) == (7, "")
+    assert "non-finite" in err
+
+
+def test_ve_width_beyond_the_table_limit_exits_5(tmp_path, capsys):
+    # Two 41-literal clauses: a VE table over them would hold 2^41 entries.
+    m = PropMRF.from_lists(
+        42, soft=[(0.5, list(range(1, 42))), (-0.3, [-v for v in range(2, 43)])]
+    )
+    path = tmp_path / "wide.pmrf"
+    path.write_text(write_model(m))
+    query = tmp_path / "query.txt"
+    query.write_text("1 0\n")
+    for argv in (
+        ["count", str(path), "--ve-width", "64"],
+        ["count", str(path), "--method", "ve", "--ve-width", "64"],
+        ["prob", str(path), str(query), "--ve-width", "25"],
+        ["marginals", str(path), "--ve-width", "64"],
+        # nothing is read before the check
+        ["count", str(tmp_path / "missing.pmrf"), "--ve-width", "25"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (5, ""), argv
+        assert "--ve-width" in err
+    # the default width conditions on the clauses instead
+    assert math.isfinite(run_json(["count", str(path)], capsys)["result"]["log_z"])
+    # VE and BP refuse the wide tables before they build them
+    with pytest.raises(VeWidthError):
+        ve_count(m, max_width=64)
+    code, out, err = run_cli(["sample", str(path), "--method", "vis"], capsys)
+    assert (code, out) == (5, "")
+    with pytest.raises(VeWidthError):
+        run_bp(m)

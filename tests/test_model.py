@@ -225,6 +225,21 @@ def test_parse_model_rejects_non_finite_weights(weight):
     assert err.value.line_no == 2
 
 
+def test_propmrf_bounds_the_sum_of_absolute_weights():
+    # 750 is beyond exp's range, and far inside the bound of 1e300
+    PropMRF.from_lists(2, soft=[(750.0, [1]), (-750.0, [2])])
+    PropMRF.from_lists(2, soft=[(4e299, [1]), (-4e299, [2])])
+    for weights in ((6e299, -6e299), (1e308, 1e308)):
+        with pytest.raises(ValueError, match="beyond 1e\\+300"):
+            PropMRF.from_lists(2, soft=[(weights[0], [1]), (weights[1], [2])])
+
+
+def test_parse_model_names_the_line_where_the_weights_pass_the_bound():
+    with pytest.raises(MalformedLineError) as err:
+        parse_model("p pmrf 2\ns 6e299 1 0\nh 2 0\ns -6e299 2 0\n")
+    assert err.value.line_no == 4
+
+
 def test_parse_model_errors_are_value_errors():
     assert issubclass(ModelFormatError, ValueError)
     assert issubclass(TautologyError, ModelFormatError)
