@@ -58,7 +58,7 @@ import numpy as np
 from .graph import connected_components, minfill_width
 from .model import BareClause, BareModel, PropMRF, literal_key
 from .simplify import SimplifyOutcome, SimplifyStatus, simplify
-from .ve import LN2, bucket_elimination, bucket_tree, clauses_to_factors
+from .ve import LN2, MAX_TABLE_WIDTH, bucket_elimination, bucket_tree, clauses_to_factors
 
 FORMULA = "formula"
 VARIABLE = "variable"
@@ -255,6 +255,8 @@ def _search(
         raise ValueError(f"unknown branching mode {mode!r}")
     stats = SearchStats()
     cache: dict | None = {} if use_cache else None
+    # No leaf table may exceed the cap, whatever the caller's threshold.
+    threshold = min(ve_width_threshold, MAX_TABLE_WIDTH)
 
     def leaf(model: BareModel) -> _Result | None:
         """A single-clause or bucket-elimination leaf; None when model branches."""
@@ -265,9 +267,9 @@ def _search(
             if not with_marginals:
                 return log_z, None
             return log_z, _single_clause_marginals(model, log_z)
-        if ve_width_threshold > 0:
-            estimate = minfill_width(model)
-            if estimate.width < ve_width_threshold:
+        if threshold > 0:
+            estimate = minfill_width(model, threshold)
+            if estimate.width < threshold:
                 stats.leaves += 1
                 bound = estimate.width + 1
                 factors = clauses_to_factors(model, max_width=bound)

@@ -12,6 +12,7 @@ connected_components returns plain component models.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -103,9 +104,13 @@ def connected_components(m: BareModel) -> list[Component]:
     ]
 
 
-def minfill_width(m: BareModel) -> WidthEstimate:
+def minfill_width(m: BareModel, bound: float = math.inf) -> WidthEstimate:
     """Greedy min-fill elimination order and its induced width (an upper bound
     on treewidth).
+
+    The elimination stops as soon as the width reaches bound: the estimate
+    then holds that width, which is at least bound, and the order up to that
+    variable.  A width below bound comes with the whole order, as without one.
 
     At each step the variable adding the fewest fill edges is eliminated (ties
     broken by smallest index); the width is the largest neighborhood met along
@@ -131,6 +136,9 @@ def minfill_width(m: BareModel) -> WidthEstimate:
             continue
         nbrs = adj.pop(x)
         width = max(width, len(nbrs))
+        order.append(x)
+        if width >= bound:
+            break
         for u in nbrs:
             adj[u].discard(x)
             fill[u] -= len(adj[u] - nbrs)
@@ -149,5 +157,4 @@ def minfill_width(m: BareModel) -> WidthEstimate:
                 adj[b].add(a)
         for u in changed:
             heapq.heappush(heap, (fill[u], u))
-        order.append(x)
     return WidthEstimate(width, tuple(order))

@@ -19,11 +19,13 @@ message from its parent, so it holds the joint weight of its scope over the
 whole model.  The bucket variable's marginal is read off that product by
 exp and sum, shifted by the product's largest entry.  Each child is sent
 the product with the child's own message removed and the rest summed out
-by a log-sum-exp shifted per output entry by that entry's largest term, in
-place on a table the pass owns.  Removing a message masks the entries where
-it is -inf instead of subtracting it, so hard clauses produce no NaN.  The
-downward pass only feeds the marginals, which therefore agree with a
-log-space reduction to rounding, not bit for bit.
+by a log-sum-exp shifted per output entry by that entry's largest term.
+The difference is written once, into the table the marginal was computed
+in, laid out so that every reduction runs over contiguous memory in the
+order numpy would sum the product's own layout (_child_message).  Where a
+message holds -inf, so does the product, and those entries stay -inf
+instead of becoming NaN.  The downward pass only feeds the marginals, which
+therefore agree with a log-space reduction to rounding, not bit for bit.
 
 No table wider than MAX_TABLE_WIDTH variables is built: the truth tables,
 the factor builders, the bucket products and ve_count's min-fill order check
@@ -132,21 +134,50 @@ def _halves(table: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return table[head + (0,)], table[head + (1,)]
 
 
-def _log_sum_exp(table: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Log-sum-exp of table over axes, shifted per output entry by its
-    largest term (a finite floor where every term is -inf, so no inf - inf
-    arises); table is overwritten."""
-    if not axes:
-        return table.copy()
-    shift = table.max(axis=axes, keepdims=True)
+def _child_message(
+    belief: np.ndarray, scope: Sequence[int], msg: Factor, scratch: np.ndarray
+) -> np.ndarray:
+    """The message a bucket with product belief over scope sends down to the
+    child that sent it msg: belief - msg, log-sum-exp'd over the axes
+    outside msg.scope and shifted per output entry by its largest term (a
+    finite floor where every term is -inf, so no inf - inf arises).  Where
+    msg is -inf, so is belief, and the difference is -inf, not NaN.
+
+    belief - msg is written once into scratch, a C-contiguous table of
+    belief's size, as (M, K, L): the dropped axes before msg's last axis,
+    msg's axes, then the trailing run of dropped axes.  numpy sums the
+    dropped axes of a C-contiguous table pairwise along its trailing run
+    and then sequentially in C order, as sum(axis=2).sum(axis=0) does here,
+    and max is exact in any order, so the bits are those of the same
+    reduction over belief's own layout, without its 2-entry inner loops.
+    With no axis to drop, the message is belief - msg in a new table.
+    belief is never written.
+    """
+    keep = [a for a, v in enumerate(scope) if v in msg.scope]
+    last = keep[-1]
+    dropped = len(scope) - len(keep)
+    head = [a for a in range(last) if scope[a] not in msg.scope]
+    perm = head + keep + list(range(last + 1, len(scope)))
+    rest = scratch if dropped else np.empty_like(belief)
+    aligned = _aligned(msg, scope).transpose(perm)
+    if msg.table.min() == -math.inf:
+        finite = aligned != -math.inf
+        np.subtract(belief.transpose(perm), aligned, out=rest, where=finite)
+        np.copyto(rest, -math.inf, where=~finite)
+    else:
+        np.subtract(belief.transpose(perm), aligned, out=rest)
+    if not dropped:
+        return rest
+    table = rest.reshape(1 << len(head), 1 << len(keep), -1)
+    shift = table.max(axis=0).max(axis=1)
     np.maximum(shift, _FLOOR, out=shift)
-    table -= shift
+    table -= shift[:, None]
     np.exp(table, out=table)
-    total = table.sum(axis=axes)
+    total = table.sum(axis=2).sum(axis=0)
     with np.errstate(divide="ignore"):  # an all -inf entry sums to 0
         np.log(total, out=total)
-    total += shift.reshape(total.shape)
-    return total
+    total += shift
+    return total.reshape(msg.table.shape)
 
 
 def _eliminate(
@@ -203,7 +234,10 @@ def bucket_tree(
     """log Z and P(v = true) for each variable of the order, in order.
 
     Same inputs and width bound as bucket_elimination.  The marginals are
-    None when the factor product is zero everywhere.
+    None when the factor product is zero everywhere.  A bucket with
+    children keeps its product intact and builds each child's message in
+    the table its marginal was computed in, so no other table of the
+    product's size is alive.
     """
     log_z, buckets, sent = _eliminate(factors, order, max_width)
     if log_z == -math.inf:
@@ -229,18 +263,10 @@ def bucket_tree(
         np.exp(weights, out=weights)
         false, true = (float(h.sum()) for h in _halves(weights, scope.index(order[j])))
         marginals[j] = true / (false + true)
-        last = len(children[j]) - 1
-        for k, c in enumerate(children[j]):
+        for c in children[j]:
             msg = sent[c]
             sent[c] = None
-            aligned = _aligned(msg, scope)
-            finite = aligned != -math.inf
-            # The last child consumes the product, the others reuse weights.
-            rest = belief if k == last else weights
-            np.subtract(belief, aligned, out=rest, where=finite)
-            np.copyto(rest, -math.inf, where=~finite)
-            drop = tuple(a for a, v in enumerate(scope) if v not in msg.scope)
-            down[c] = Factor(msg.scope, _log_sum_exp(rest, drop))
+            down[c] = Factor(msg.scope, _child_message(belief, scope, msg, weights))
     return log_z, marginals
 
 

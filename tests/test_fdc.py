@@ -190,6 +190,21 @@ def test_formula_minimum_never_exceeds_variable_minimum():
     assert strict > 0
 
 
+def test_ve_threshold_above_the_table_cap_conditions_instead():
+    # Two 41-literal soft clauses give min-fill width 40, over the 24-variable
+    # table cap: any threshold above the cap must search as the cap does.
+    m = PropMRF.from_lists(
+        42, soft=[(0.5, list(range(1, 42))), (-1.25, list(range(2, 43)))]
+    )
+    for search in (fdc_count, fdc_marginals):
+        capped = search(m, ve_width_threshold=24)
+        wide = search(m, ve_width_threshold=64)
+        assert wide.log_z.hex() == capped.log_z.hex()
+        assert wide.stats == capped.stats
+    assert wide.marginals.tobytes() == capped.marginals.tobytes()
+    assert fdc_count(m, ve_width_threshold=0).log_z == pytest.approx(capped.log_z, abs=1e-12)
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         fdc_count(PropMRF(1), mode="mixed")

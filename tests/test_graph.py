@@ -178,6 +178,32 @@ def test_minfill_matches_the_recounting_loop():
         assert (estimate.width, estimate.order) == _recounted_minfill(m)
 
 
+def test_minfill_bound_stops_at_the_bound():
+    # Below the bound the estimate is the unbounded one; at or above it the
+    # elimination stops once the width reaches the bound, part way along
+    # the same order.
+    rng = np.random.default_rng(8205)
+    stopped = 0
+    for _ in range(300):
+        m = random_mixed_model(
+            rng,
+            max_vars=int(rng.integers(2, 21)),
+            max_hard=int(rng.integers(0, 12)),
+            max_soft=int(rng.integers(0, 16)),
+            max_size=int(rng.integers(2, 5)),
+        )
+        full = minfill_width(m)
+        for bound in range(0, full.width + 3):
+            estimate = minfill_width(m, bound)
+            if full.width < bound:
+                assert estimate == full
+            else:
+                assert estimate.width >= bound
+                assert full.order[: len(estimate.order)] == estimate.order
+                stopped += estimate.order != full.order
+    assert stopped > 100
+
+
 def test_minfill_is_near_linear_on_a_long_chain():
     # Recounting every vertex at every step took seconds at this size.
     n = 4000

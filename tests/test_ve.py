@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,10 @@ from propmrf import (
     ve_count,
 )
 from propmrf.ve import (
+    _FLOOR,
     Factor,
+    _aligned,
+    _child_message,
     bucket_elimination,
     bucket_tree,
     clause_to_factor,
@@ -155,6 +159,75 @@ def test_bucket_tree_matches_enumeration_with_infinite_entries():
     assert zero > 0
 
 
+def _reference_message(belief: np.ndarray, scope: tuple, msg: Factor) -> np.ndarray:
+    """A child's downward message as bucket_tree computed it before the
+    contiguous layout: belief - msg with -inf where msg is -inf, then a
+    log-sum-exp over the dropped axes in belief's own axis order."""
+    aligned = _aligned(msg, scope)
+    finite = aligned != -math.inf
+    rest = np.empty_like(belief)
+    np.subtract(belief, aligned, out=rest, where=finite)
+    np.copyto(rest, -math.inf, where=~finite)
+    axes = tuple(a for a, v in enumerate(scope) if v not in msg.scope)
+    if not axes:
+        return rest
+    shift = rest.max(axis=axes, keepdims=True)
+    np.maximum(shift, _FLOOR, out=shift)
+    rest -= shift
+    np.exp(rest, out=rest)
+    total = rest.sum(axis=axes)
+    with np.errstate(divide="ignore"):
+        np.log(total, out=total)
+    total += shift.reshape(total.shape)
+    return total
+
+
+def _message_layouts(rng: np.random.Generator, w: int) -> list[list[int]]:
+    """Kept axes of a w-axis bucket: first, last, interleaved, all, one
+    and a random subset."""
+    k = max(1, w // 2)
+    return [
+        list(range(k)),
+        list(range(w - k, w)),
+        list(range(0, w, 2)),
+        list(range(1, w, 2)) or [0],
+        list(range(w)),
+        [int(rng.integers(w))],
+        sorted(int(a) for a in rng.choice(w, size=int(rng.integers(1, w + 1)), replace=False)),
+    ]
+
+
+def test_child_message_matches_the_reference_kernel():
+    rng = np.random.default_rng(8305)
+    checked = 0
+    for w in range(1, 19):
+        scope = tuple(sorted(int(v) for v in rng.choice(40, size=w, replace=False) + 1))
+        for keep in _message_layouts(rng, w):
+            for values in ("normal", "700", "holes"):
+                msg_scope = tuple(scope[a] for a in keep)
+                msg = Factor(msg_scope, rng.normal(size=(2,) * len(keep)))
+                belief = rng.normal(size=(2,) * w)
+                if values == "700":
+                    msg.table += rng.choice([-700.0, 700.0], size=msg.table.shape)
+                    belief += rng.choice([-700.0, 700.0], size=belief.shape)
+                elif values == "holes":
+                    msg.table[rng.random(msg.table.shape) < 0.3] = -math.inf
+                    belief[rng.random(belief.shape) < 0.3] = -math.inf
+                # The belief is the product with msg in it.
+                belief[np.broadcast_to(_aligned(msg, scope) == -math.inf, belief.shape)] = (
+                    -math.inf
+                )
+                want = _reference_message(belief, scope, msg)
+                kept = belief.copy()
+                got = _child_message(belief, scope, msg, np.empty_like(belief))
+                assert got.shape == msg.table.shape
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                assert np.array_equal(belief, kept)
+                checked += 1
+    assert checked == 18 * 7 * 3
+
+
 # log Z of seeded models as the upward pass gave it before the two-slice
 # sum-out replaced np.logaddexp.reduce: (gen_random n, m, s, seed, evidence
 # fraction), ve_count, fdc_count with VE below width 16.
@@ -180,6 +253,31 @@ def test_upward_pass_is_pinned(spec, ve_hex, fdc_hex):
     assert ve_count(m).hex() == ve_hex
     assert fdc_count(m, ve_width_threshold=16).log_z.hex() == fdc_hex
     assert fdc_marginals(m, ve_width_threshold=16).log_z.hex() == fdc_hex
+
+
+# sha256 of the fdc_marginals bytes of the same models, VE below width 16,
+# recorded before the child messages moved to a contiguous layout.  Both
+# branching modes give the same bytes.
+_DOWNWARD_PINS = {
+    (12, 14, 4, 1, 0.0): "b2e90932f1d270aec3cc2b647f408c5937a8345bc8354f6625c1406bf436935b",
+    (16, 16, 4, 2, 0.0): "74bc978cd9d0cb7ad57bc8e993774477893942c05a3a92ef6e048db5285806a0",
+    (20, 20, 5, 3, 0.1): "9ebebeb65d0da06aa1065faffc0fc7a9c2753d583b063576780ed12047090a62",
+    (24, 24, 5, 4, 0.0): "f3c1ea27cc8ce7891d93c5625524036b7316ad034420a3644c8c9c2d2a9f87ce",
+    (30, 30, 5, 5, 0.0): "3f9e881343924ea4cee53f530691059f0e756c2078ae47f3465c83f2387c7a20",
+    (30, 30, 5, 6, 0.1): "997e4c609f4934daaf22bf39368037ede644eec7bc2b607e9685a3108ac3f6fd",
+    (30, 30, 5, 8, 0.0): "11132c4313730d08fe174fb3e53d003acaee74813ce3867cec5c5f497f13fc62",
+}
+
+
+@pytest.mark.parametrize("mode", ["formula", "variable"])
+@pytest.mark.parametrize("spec", [pin[0] for pin in _UPWARD_PINS], ids=str)
+def test_downward_pass_is_pinned(spec, mode):
+    n, m_clauses, size, seed, evidence = spec
+    m = gen_random(n, m_clauses, size, seed=seed)
+    if evidence:
+        m = pick_evidence(m, evidence, seed=seed)
+    marginals = fdc_marginals(m, mode=mode, ve_width_threshold=16).marginals
+    assert hashlib.sha256(marginals.tobytes()).hexdigest() == _DOWNWARD_PINS[spec]
 
 
 @pytest.mark.parametrize("scale", [700.0, 1e4])
