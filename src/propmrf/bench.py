@@ -247,22 +247,25 @@ class GenSpec:
     evidence_seed: int | None = None
 
 
+FAMILIES = {
+    "random": (gen_random, ("n", "m", "s")),
+    "qmr": (gen_qmr, ("d", "f", "s")),
+    "fs": (gen_fs, ("k",)),
+}
+"""Each model family's generator and the names of its size parameters, in
+the generator's argument order."""
+
+
 def generate(spec: GenSpec) -> PropMRF:
-    common = dict(
-        seed=spec.seed, weight_low=spec.weight_low, weight_high=spec.weight_high
-    )
-    if spec.family == "random":
-        model = gen_random(
-            spec.params["n"], spec.params["m"], spec.params["s"], **common
-        )
-    elif spec.family == "qmr":
-        model = gen_qmr(
-            spec.params["d"], spec.params["f"], spec.params["s"], **common
-        )
-    elif spec.family == "fs":
-        model = gen_fs(spec.params["k"], **common)
-    else:
+    if spec.family not in FAMILIES:
         raise ValueError(f"unknown model family: {spec.family!r}")
+    generator, names = FAMILIES[spec.family]
+    model = generator(
+        *(spec.params[name] for name in names),
+        seed=spec.seed,
+        weight_low=spec.weight_low,
+        weight_high=spec.weight_high,
+    )
     if spec.evidence_fraction > 0.0:
         evidence_seed = (
             spec.seed if spec.evidence_seed is None else spec.evidence_seed

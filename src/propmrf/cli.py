@@ -34,6 +34,7 @@ import time
 import numpy as np
 
 from .bench import (
+    FAMILIES,
     EnumerationTooLargeError,
     GenSpec,
     brute_force_z,
@@ -293,27 +294,26 @@ def _cmd_marginals(args: argparse.Namespace) -> dict:
         report["ve_width"] = args.ve_width
         report["diagnostics"] = _stats_block(result.stats)
     else:
-        seed = _resolve_seed(args.seed)
-        jobs = _resolve_jobs(args.jobs)
-        result = _run_sampler(args, m, seed, jobs)
+        result, fields = _run_sampler(args, m)
         if args.method == "fis":
             values = fis_marginals(result)
         else:
             values = vis_marginals(result)
-        report["n_samples"] = args.samples
-        report["seed"] = seed
-        report["jobs"] = jobs
-        report["bp"] = _bp_block(args, result.bp)
+        report.update(fields)
     report["result"] = {"marginals": [float(x) for x in values]}
     return report
 
 
 def _run_sampler(
-    args: argparse.Namespace, m: PropMRF, seed: int, jobs: int
-) -> FisResult | VisResult:
+    args: argparse.Namespace, m: PropMRF
+) -> tuple[FisResult | VisResult, dict]:
+    """The sampler's result and the report fields that marginals and sample
+    share: n_samples, seed, jobs and bp."""
+    seed = _resolve_seed(args.seed)
+    jobs = _resolve_jobs(args.jobs)
     config = BpConfig(max_iters=args.bp_iters, damping=args.bp_damping)
     if args.method == "fis":
-        return run_fis(
+        result = run_fis(
             m,
             args.samples,
             seed=seed,
@@ -321,7 +321,14 @@ def _run_sampler(
             h_order=_parse_h_order(args.h_order),
             jobs=jobs,
         )
-    return run_vis(m, args.samples, seed=seed, bp_config=config)
+    else:
+        result = run_vis(m, args.samples, seed=seed, bp_config=config)
+    return result, {
+        "n_samples": args.samples,
+        "seed": seed,
+        "jobs": jobs,
+        "bp": _bp_block(args, result.bp),
+    }
 
 
 def _bp_block(args: argparse.Namespace, bp: BpMarginals) -> dict:
@@ -336,18 +343,13 @@ def _bp_block(args: argparse.Namespace, bp: BpMarginals) -> dict:
 
 def _cmd_sample(args: argparse.Namespace) -> dict:
     m = _load_model(args.model)
-    seed = _resolve_seed(args.seed)
-    jobs = _resolve_jobs(args.jobs)
-    result = _run_sampler(args, m, seed, jobs)
+    result, fields = _run_sampler(args, m)
     estimate = result.estimate
     return {
         "command": "sample",
         "model": _model_block(args.model, m),
         "method": args.method,
-        "n_samples": args.samples,
-        "seed": seed,
-        "jobs": jobs,
-        "bp": _bp_block(args, result.bp),
+        **fields,
         "result": {
             "log_z_hat": _log_field(estimate.log_z_hat),
             "z_hat": _linear(estimate.z_hat),
@@ -359,13 +361,8 @@ def _cmd_sample(args: argparse.Namespace) -> dict:
 
 def _cmd_gen(args: argparse.Namespace) -> dict:
     params: dict[str, int] = {}
-    if args.family == "random":
-        required = {"n": args.n, "m": args.m, "s": args.s}
-    elif args.family == "qmr":
-        required = {"d": args.d, "f": args.f, "s": args.s}
-    else:
-        required = {"k": args.people}
-    for name, value in required.items():
+    for name in FAMILIES[args.family][1]:
+        value = getattr(args, name)
         if value is None:
             flag = "--people" if name == "k" else f"--{name}"
             raise _CliError(
@@ -381,10 +378,7 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
         weight_high=args.weight_high,
         evidence_fraction=args.evidence_frac,
     )
-    try:
-        m = generate(spec)
-    except (KeyError, ValueError) as exc:
-        raise _CliError(EXIT_USAGE, str(exc)) from exc
+    m = generate(spec)
     _write_text(args.model_output, write_model(m))
     return {
         "command": "gen",
@@ -394,13 +388,7 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
         "weight_low": args.weight_low,
         "weight_high": args.weight_high,
         "evidence_frac": args.evidence_frac,
-        "result": {
-            "path": args.model_output,
-            "fingerprint": model_fingerprint(m),
-            "num_vars": m.num_vars,
-            "num_hard": len(m.hard),
-            "num_soft": len(m.soft),
-        },
+        "result": _model_block(args.model_output, m),
     }
 
 
@@ -487,15 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(handler=_cmd_sample)
 
     p_gen = sub.add_parser("gen", help="generate a benchmark model file")
-    p_gen.add_argument(
-        "--family", choices=("random", "qmr", "fs"), required=True
-    )
+    p_gen.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--m", type=int, default=None)
     p_gen.add_argument("--s", type=int, default=None)
     p_gen.add_argument("--d", type=int, default=None)
     p_gen.add_argument("--f", type=int, default=None)
-    p_gen.add_argument("--people", type=int, default=None, metavar="K")
+    p_gen.add_argument("--people", type=int, default=None, metavar="K", dest="k")
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--weight-low", type=float, default=-1.0)
     p_gen.add_argument("--weight-high", type=float, default=1.0)

@@ -3,9 +3,10 @@
 The formula sampler draws truth values for the soft clauses one at a time.
 Before each step both extensions are tested for satisfiability against the
 hard clauses plus the constraints implied by earlier steps; when only one
-extension is satisfiable it is taken with probability one, so no drawn prefix
-is ever abandoned.  A completed draw fixes every soft clause, the solutions of
-the resulting hard formula are counted exactly, and the sample's estimate is
+extension is satisfiable it is taken with probability one.  One of the two
+always is, so no drawn prefix is ever abandoned.  A completed draw fixes
+every soft clause, the solutions of the resulting hard formula are counted
+exactly, and the sample's estimate is
 
     count * exp(sum of satisfied soft weights) / qb
 
@@ -22,19 +23,21 @@ its state is what sat.unit_propagate returns, the forced literals and the
 residual clauses.  Both the SAT checks of the next step (sat.is_satisfiable)
 and the belief propagation proposal start from that state, not from the hard
 clauses.  A run of forced steps is one edge of the tree, so a draw that
-reaches built nodes pays one uniform and one step per free choice, and
-spells out the step values only from the first node it expands.  The BP
-proposal is memoized for the run on the step and the forced literals of the
-step's clause, the only ones it reads.  A leaf's state is also its counting
-model.  When its residual is empty, every variable is forced or free, and
-the log count (ln 2 per free variable) and marginals are written down with
-no search; otherwise one fdc_marginals search on the forced true literals as
-unit clauses plus the residual gives them.  The Sample keeps the exact
-marginals of its formula's solutions, so fis_marginals only averages them.
-Every draw goes through _draws, in this process for jobs=1 and in each
-worker otherwise; a worker gets the model, the step order and the BP
-proposal without its memo, and returns its Samples.  A custom proposal is
-not sent to the workers, so run_fis refuses it with jobs > 1.
+reaches built nodes pays one uniform and one step per free choice, spells
+out the step values only from the first node it expands, and ends at a
+built leaf with the Sample that leaf was finished with.  The enumeration
+expands a fresh tree whole.  The BP proposal is memoized for the run on the
+step and the forced literals of the step's clause, the only ones it reads.
+A leaf's state is also its counting model.  When its residual is empty,
+every variable is forced or free, and the log count (ln 2 per free variable)
+and marginals are written down with no search; otherwise one fdc_marginals
+search on the forced true literals as unit clauses plus the residual gives
+them.  The Sample keeps the exact marginals of its formula's solutions, so
+fis_marginals only averages them.  Every draw goes through _draws, in this
+process for jobs=1 and in each worker otherwise; a worker gets the model,
+the step order and the BP proposal without its memo, and returns its
+Samples.  A custom proposal is not sent to the workers, so run_fis refuses
+it with jobs > 1.
 
 The variable sampler draws each variable independently from a per-variable
 Bernoulli proposal and weights assignments by potential over proposal mass;
@@ -52,6 +55,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .bench import _clause_sat_mask, _weighted_chunks
 from .bp import BpConfig, BpMarginals, formula_proposal, run_bp, variable_proposal
 from .fdc import FORMULA, InstanceTooLargeError, fdc_marginals
 from .fdc import fdc_count  # noqa: F401  perfbench/run.py wraps this name
@@ -277,11 +281,13 @@ class _FormulaSampler:
     state.  So an edge of the tree is one free choice followed by the run of
     forced steps behind it.  A draw walks the tree, taking one uniform per
     free choice and keeping the values only from the first node it expands
-    (see draw), and the enumeration traverses it with an explicit stack.  A
-    leaf is solved once: with an empty residual every variable is forced or
-    free, and the result is written down (_solved_leaf); otherwise by one
-    fdc_marginals search started from its own state.  It keeps the finished
-    Sample, with the formula's log count and marginals, and drops the state.
+    (see draw); the enumeration expands a fresh tree whole, with an explicit
+    stack.  A leaf is solved once, right after the expansion that makes it a
+    leaf: with an empty residual every variable is forced or free, and the
+    result is written down (_solved_leaf); otherwise by one fdc_marginals
+    search started from its own state.  It keeps the finished Sample, with
+    the formula's log count and marginals, and drops the state, so a later
+    draw that reaches it returns that Sample.
     """
 
     def __init__(self, m: PropMRF, soft_steps: Sequence[int], proposal: _NodeProposal):
@@ -296,7 +302,9 @@ class _FormulaSampler:
         """Walk the steps after node's prefix, which values holds, appending
         each forced value to values and to node.run; then branch at the
         first step where both values are satisfiable, by the proposal, or
-        make node a leaf after the last step."""
+        make node a leaf after the last step.  At least one value is always
+        satisfiable: each model of a satisfiable prefix either satisfies the
+        step's clause or falsifies all of its literals."""
         state = node.state
         start = len(values)
         for pos in range(start, len(self._extensions)):
@@ -313,10 +321,6 @@ class _FormulaSampler:
                 node.true, node.false = _Node(on_true), _Node(on_false)
                 node.state = None
                 break
-            if on_true is None and on_false is None:
-                raise NoConsistentSampleError(
-                    "both extensions of a satisfiable prefix are unsatisfiable"
-                )
             values.append(on_false is None)
             state = on_true if on_false is None else on_false
         else:
@@ -375,16 +379,15 @@ class _FormulaSampler:
     def draw(self, uniforms: Iterator[float]) -> Sample:
         """One draw: at each free choice, true when the next uniform is
         below its probability.  Over built nodes the walk records its
-        choices as the bits of path and keeps no values; from the first
-        node it expands every node is new, and the values are spelled out
-        once and extended step by step."""
+        choices as the bits of path and keeps no values, and a built leaf
+        gives the Sample it was finished with by the draw that expanded it.
+        From the first node it expands every node is new, and the values
+        are spelled out once and extended step by step."""
         node, qb, path = self.root, 1.0, 1
         while node.run is not None:
             p = node.p
             if p is None:
-                return node.sample or self._finish(
-                    node, [*self._path_values(path), *node.run], qb
-                )
+                return node.sample
             if next(uniforms) < p:
                 qb *= p
                 path += path + 1
@@ -409,18 +412,16 @@ class _FormulaSampler:
                 node = node.false
 
     def enumerate(self) -> list[Sample]:
-        """Every leaf with its draw probability, true branches first."""
+        """Every leaf with its draw probability, true branches first.  Runs
+        on a fresh tree, expanding each node and finishing each leaf once."""
         samples: list[Sample] = []
         stack: list[tuple[_Node, list[bool], float]] = [(self.root, [], 1.0)]
         while stack:
             node, values, qb = stack.pop()
-            if node.run is None:
-                self._expand(node, values)
-            else:
-                values += node.run
+            self._expand(node, values)
             p = node.p
             if p is None:
-                samples.append(node.sample or self._finish(node, values, qb))
+                samples.append(self._finish(node, values, qb))
                 continue
             stack.append((node.false, [*values, False], qb * (1.0 - p)))
             stack.append((node.true, [*values, True], qb * p))
@@ -670,8 +671,11 @@ def u_from_q(
     m: PropMRF, q: np.ndarray, h_order: Sequence[int] | None = None
 ) -> UFormulaDistribution:
     """Push a per-variable proposal forward onto formula assignments by full
-    enumeration.  Limited to small models."""
-    num_vars, hard, soft = m
+    enumeration, over bench's chunks of assignments: a code is kept when its
+    log potential is finite, its mass is the product of its variables'
+    probabilities in variable order, and the masses are summed in code
+    order.  Limited to small models."""
+    num_vars, _, soft = m
     if num_vars > 14:
         raise InstanceTooLargeError(
             "u_from_q enumerates all assignments; at most 14 variables"
@@ -682,25 +686,20 @@ def u_from_q(
     if not np.all((q >= 0.0) & (q <= 1.0)):
         raise ValueError("q entries must lie in [0, 1]")
     order = _resolve_h_order(len(soft), h_order)
-    h_clauses = [soft[j][0] for j in order]
     masses: dict[tuple[bool, ...], float] = {}
     kappa = 0.0
-    for code in range(1 << num_vars):
-        x = [(code >> (v - 1)) & 1 == 1 for v in range(1, num_vars + 1)]
-        if any(
-            not any((lit > 0) == x[abs(lit) - 1] for lit in clause)
-            for clause in hard
-        ):
-            continue
-        mass = 1.0
+    for codes, log_w in _weighted_chunks(m):
+        codes = codes[log_w > -math.inf]
+        code_mass = np.ones(codes.shape)
         for v in range(num_vars):
-            mass *= q[v] if x[v] else 1.0 - q[v]
-        profile = tuple(
-            any((lit > 0) == x[abs(lit) - 1] for lit in clause)
-            for clause in h_clauses
-        )
-        masses[profile] = masses.get(profile, 0.0) + mass
-        kappa += mass
+            bit = (codes >> np.uint64(v)) & np.uint64(1)
+            code_mass *= np.where(bit == 1, q[v], 1.0 - q[v])
+        profiles = np.empty((codes.size, len(order)), dtype=bool)
+        for step, j in enumerate(order):
+            profiles[:, step] = _clause_sat_mask(codes, soft[j].clause)
+        for profile, mass in zip(map(tuple, profiles.tolist()), code_mass.tolist()):
+            masses[profile] = masses.get(profile, 0.0) + mass
+            kappa += mass
     return UFormulaDistribution(masses=masses, kappa=kappa)
 
 

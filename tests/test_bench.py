@@ -128,6 +128,9 @@ def test_gen_qmr_structure():
         assert all(1 <= l <= d for l in lits[:-1])
     with pytest.raises(ValueError):
         gen_qmr(3, 2, 4)
+    for d, f in ((0, 2), (3, -1)):
+        with pytest.raises(ValueError, match="d must be positive and f nonnegative"):
+            gen_qmr(d, f, 1)
 
 
 def test_gen_fs_structure():

@@ -158,6 +158,17 @@ def test_formula_proposal_respects_prefix_constraints():
     assert p_true == pytest.approx(1.0 - 1e-9, abs=1e-12)
 
 
+def test_formula_proposal_on_rows_of_zero_belief():
+    # exp(-750) underflows, so the clause's false row has belief 0: forcing
+    # both literals false leaves no mass, and the proposal falls back to 0.5.
+    m = PropMRF.from_lists(2, soft=[(750.0, [1, 2])])
+    marginals = run_bp(m)
+    _, table = marginals.soft_factor(0)
+    assert table[0, 0] == 0.0
+    assert formula_proposal(marginals, {-1, -2}, 0) == 0.5
+    assert formula_proposal(marginals, {-1}, 0) == 1.0 - 1e-9
+
+
 def test_formula_proposal_stays_inside_the_open_interval():
     rng = np.random.default_rng(8501)
     for _ in range(25):

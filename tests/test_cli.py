@@ -247,6 +247,19 @@ def test_sample_jobs_flag_is_deterministic(soft_model_file, capsys):
     assert first["result"] == second["result"]
 
 
+def test_jobs_below_one_exits_2(soft_model_file, capsys, monkeypatch):
+    path, _ = soft_model_file
+    for command in ("sample", "marginals"):
+        argv = [command, path, "--method", "fis", "--samples", "10"]
+        code, out, err = run_cli([*argv, "--jobs", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert "--jobs must be positive" in err
+        monkeypatch.setenv("PROPMRF_JOBS", "-1")
+        code, _, err = run_cli(argv, capsys)
+        monkeypatch.delenv("PROPMRF_JOBS")
+        assert code == 2 and "--jobs must be positive" in err
+
+
 def test_seed_and_jobs_env_fallbacks(soft_model_file, capsys, monkeypatch):
     path, _ = soft_model_file
     monkeypatch.setenv("PROPMRF_SEED", "123")
@@ -299,12 +312,17 @@ def test_gen_families_and_evidence(tmp_path, capsys):
 
 def test_gen_missing_parameter_exits_2(tmp_path, capsys):
     out = tmp_path / "never.pmrf"
-    code, _, err = run_cli(
-        ["gen", "--family", "qmr", "--d", "4", "--output", str(out)], capsys
-    )
-    assert code == 2
-    assert err.startswith("error:")
-    assert not out.exists()
+    for params, message in (
+        (["--family", "qmr", "--d", "4"], "family 'qmr' requires --f"),
+        (["--family", "fs"], "family 'fs' requires --people"),
+        # the generators' own range checks
+        (["--family", "qmr", "--d", "0", "--f", "1", "--s", "1"], "d must be positive"),
+        (["--family", "random", "--n", "3", "--m", "2", "--s", "4"], "clause size"),
+    ):
+        code, _, err = run_cli(["gen", *params, "--output", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
 
 def test_eval_round_trip(tmp_path, capsys):
@@ -333,6 +351,12 @@ def test_eval_round_trip(tmp_path, capsys):
     out_of_range.write_text("0.5\n1.5\n0.5\n")
     code, _, _ = run_cli(["eval", str(exact), str(out_of_range)], capsys)
     assert code == 4
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no values\n\n")
+    code, _, err = run_cli(["eval", str(empty), str(empty)], capsys)
+    assert code == 4
+    assert "no marginal values found" in err
 
 
 def test_eval_rejects_nan_in_either_file(tmp_path, capsys):

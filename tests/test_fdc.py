@@ -208,6 +208,14 @@ def test_ve_threshold_above_the_table_cap_conditions_instead():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         fdc_count(PropMRF(1), mode="mixed")
+    with pytest.raises(ValueError, match="unknown branching mode 'mixed'"):
+        minimal_search_space(PropMRF(1), mode="mixed")
+
+
+@pytest.mark.parametrize("mode", [FORMULA, VARIABLE])
+def test_branch_choice_needs_a_clause(mode):
+    with pytest.raises(ValueError, match="no clauses to branch on"):
+        choose_branch_clause(PropMRF(2), mode)
 
 
 def _degenerate_models(rng: np.random.Generator) -> list[PropMRF]:
@@ -320,6 +328,18 @@ def test_exact_marginals_reject_zero_partition_function():
     m = PropMRF.from_lists(1, hard=[[1], [-1]])
     with pytest.raises(ValueError):
         exact_marginals(m)
+
+
+def test_a_ve_leaf_with_zero_partition_function():
+    # Every assignment of two variables violates one of the four clauses, and
+    # none is a unit, so simplify passes the model on to bucket elimination.
+    m = PropMRF.from_lists(2, hard=[[1, 2], [1, -2], [-1, 2], [-1, -2]])
+    for mode in (FORMULA, VARIABLE):
+        for use_cache in (True, False):
+            result = fdc_marginals(m, mode=mode, use_cache=use_cache)
+            assert result.log_z == -math.inf
+            assert result.marginals is None
+            assert (result.stats.nodes, result.stats.leaves) == (0, 1)
 
 
 # The search's counters and log Z, pinned from the Clause/PropMRF search that

@@ -145,6 +145,26 @@ def test_u_from_q_masses_and_conditionals():
     for bad in (np.nan, 2.0, -0.5):
         with pytest.raises(ValueError):
             u_from_q(m, np.array([bad, 0.6, 0.5]))
+    for shape in (2, 4):
+        with pytest.raises(ValueError, match="one probability per variable"):
+            u_from_q(m, np.full(shape, 0.5))
+
+
+def test_u_from_q_with_certain_variables():
+    # q of exactly 1 leaves the profiles of x1 = false at mass 0, so the
+    # conditional after a false first step has no mass to normalize by.
+    m = PropMRF.from_lists(2, soft=[(0.5, [1]), (0.2, [2])])
+    u = u_from_q(m, np.array([1.0, 0.25]))
+    assert u.masses == {
+        (False, False): 0.0,
+        (True, False): 0.75,
+        (False, True): 0.0,
+        (True, True): 0.25,
+    }
+    assert u.kappa == 1.0
+    assert u.conditional(0, ()) == 1.0
+    assert u.conditional(1, (True,)) == 0.25
+    assert u.conditional(1, (False,)) == 0.5
 
 
 def test_draws_never_hit_an_empty_formula():
@@ -237,6 +257,10 @@ def test_sampling_guards():
     ok = PropMRF.from_lists(1, soft=[(0.5, [1])])
     with pytest.raises(ValueError):
         run_fis(ok, 0)
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        run_fis(ok, 10, jobs=0)
+    with pytest.raises(ValueError, match="n_samples must be positive"):
+        run_vis(ok, 0)
     with pytest.raises(ValueError, match="step 0"):
         run_fis(ok, 10, proposal=lambda pos, values: float("nan"))
     with pytest.raises(ValueError):

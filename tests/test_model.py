@@ -92,6 +92,8 @@ def test_propmrf_validates_literal_range():
         PropMRF(2, (Clause([3]),), ())
     with pytest.raises(ValueError):
         PropMRF.from_lists(1, soft=[(0.5, [1, -2])])
+    with pytest.raises(ValueError, match="num_vars must be nonnegative"):
+        PropMRF(-1)
 
 
 def test_propmrf_is_its_triple():
@@ -216,6 +218,23 @@ def test_parse_model_errors_name_line_numbers():
         parse_model("p pmrf 2\np pmrf 2\n")
     with pytest.raises(MalformedLineError):
         parse_model("")
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("p pmrf 2\nh 1 x 0\n", 2, "bad literal token 'x'"),
+        ("p pmrf 2\nh 1 0 2 0\n", 2, "literal 0 before end of clause"),
+        ("p cnf 2\n", 1, "header must be"),
+        ("# c\np pmrf\n", 2, "header must be"),
+        ("p pmrf -1\n", 1, "variable count must be nonnegative"),
+        ("p pmrf 2\nh 1 0\ns\n", 3, "soft clause missing weight"),
+    ],
+)
+def test_parse_model_refusals_name_the_line(text, line_no, message):
+    with pytest.raises(MalformedLineError, match=message) as err:
+        parse_model(text)
+    assert err.value.line_no == line_no
 
 
 @pytest.mark.parametrize("weight", ["inf", "-inf", "nan"])
