@@ -195,17 +195,21 @@ def brute_force_z(m: PropMRF) -> float:
 
 
 def brute_force_marginals(m: PropMRF) -> np.ndarray:
-    """Exact P(v = true) for every variable by full enumeration."""
+    """Exact P(v = true) for every variable by full enumeration, as a share
+    of the summed weights shifted by log Z: near the weight bound log 2 no
+    longer adds to log Z, so those weights may sum to more than 1."""
     log_z = brute_force_z(m)
     if log_z == -math.inf:
         raise ValueError("all assignments have zero weight; marginals undefined")
     marginals = np.zeros(m.num_vars)
+    total = 0.0
     for codes, log_w in _weighted_chunks(m):
         prob = np.exp(log_w - log_z)
+        total += float(np.sum(prob))
         for v in range(1, m.num_vars + 1):
             bit = (codes >> np.uint64(v - 1)) & np.uint64(1)
             marginals[v - 1] += float(np.sum(prob[bit == 1]))
-    return np.clip(marginals, 0.0, 1.0)
+    return np.clip(marginals / total, 0.0, 1.0)
 
 
 def sum_kld(

@@ -19,7 +19,8 @@ Infinity: one that would is an internal error (exit 7), and --ve-width
 beyond ve.MAX_TABLE_WIDTH exits 5 before the model is read.
 
 Environment: PROPMRF_SEED and PROPMRF_JOBS provide defaults for --seed and
---jobs.
+--jobs.  --jobs J splits formula sampling into J independently seeded
+streams of draws, all drawn in this process on one prefix tree.
 """
 
 from __future__ import annotations
@@ -212,7 +213,14 @@ def _add_sampling_options(parser: argparse.ArgumentParser) -> None:
         help="comma separated permutation of soft clause indices (0 based) "
         "giving the formula sampling order",
     )
-    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="J",
+        help="split formula sampling into J independently seeded streams of "
+        "draws on one tree in this process (default 1, or PROPMRF_JOBS)",
+    )
 
 
 def _resolve_seed(value: int | None) -> int:

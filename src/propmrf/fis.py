@@ -33,11 +33,9 @@ every variable is forced or free, and the log count (ln 2 per free variable)
 and marginals are written down with no search; otherwise one fdc_marginals
 search on the forced true literals as unit clauses plus the residual gives
 them.  The Sample keeps the exact marginals of its formula's solutions, so
-fis_marginals only averages them.  Every draw goes through _draws, in this
-process for jobs=1 and in each worker otherwise; a worker gets the model,
-the step order and the BP proposal without its memo, and returns its
-Samples.  A custom proposal is not sent to the workers, so run_fis refuses
-it with jobs > 1.
+fis_marginals only averages them.  run_fis draws every sample in this
+process on one tree; its jobs split the draws into independently seeded
+streams, drawn one after another.
 
 The variable sampler draws each variable independently from a per-variable
 Bernoulli proposal and weights assignments by potential over proposal mass;
@@ -47,9 +45,7 @@ assignments violating a hard clause get weight zero.
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -175,36 +171,34 @@ def estimate_from_log_weights(log_weights: np.ndarray) -> Estimate:
     return Estimate(log_z_hat, n, variance, std_error)
 
 
-_State = tuple[set[int], set[int], list[BareClause]]
-"""A satisfiable prefix, propagated: sat.unit_propagate's (forced true
-literals, their negations, residual clauses), the forced sets accumulated
-over the prefix's steps.  The residual clauses mention no forced variable,
-and each keeps at least two literals."""
+_State = tuple[set[int], list[BareClause]]
+"""A satisfiable prefix, propagated: the literals forced true, accumulated
+over the prefix's steps, and sat.unit_propagate's residual clauses.  A
+literal is forced false when its negation is forced true.  The residual
+clauses mention no forced variable, and each keeps at least two literals."""
 
 
 def _extend(state: _State, extension: Sequence[BareClause]) -> _State | None:
     """The propagated state of a satisfiable prefix plus extension, or None
     when that conjunction is unsatisfiable."""
-    true, false, residual = state
+    true, residual = state
     reduced = []
     for clause in extension:
         if true.isdisjoint(clause):
-            rest = clause - false if not clause.isdisjoint(false) else clause
+            falsified = {lit for lit in clause if -lit in true}
+            rest = clause - falsified if falsified else clause
             if not rest:
                 return None
             reduced.append(rest)
     if not reduced:
         return state
-    clauses = [*reduced, *residual]
-    propagated = unit_propagate(clauses)
+    propagated = unit_propagate([*reduced, *residual])
     if propagated is None:
         return None
-    new_true, new_false, residual = propagated
+    new_true, _, residual = propagated
     if residual and not is_satisfiable(residual):
         return None
-    if new_true:
-        true, false = true | new_true, false | new_false
-    return true, false, residual
+    return (true | new_true if new_true else true), residual
 
 
 class _Node:
@@ -267,8 +261,8 @@ class _FormulaSampler:
     """Draws and enumerates formula assignments on a prefix tree.
 
     A node is a prefix of step values.  Until it is expanded it holds the
-    prefix propagated: the literals forced true and false, and the residual
-    clauses, those not yet satisfied with their false literals removed.
+    prefix propagated: the literals forced true, and the residual clauses,
+    those not yet satisfied with the negations of forced literals removed.
     Expanding a node checks both values of each next step by _extend, which
     reduces the step's extension against the forced literals, propagates it
     together with the residual alone, and runs the DPLL only on a non-empty
@@ -287,7 +281,7 @@ class _FormulaSampler:
     result is written down (_solved_leaf); otherwise by one fdc_marginals
     search started from its own state.  It keeps the finished Sample, with
     the formula's log count and marginals, and drops the state, so a later
-    draw that reaches it returns that Sample.
+    draw that reaches it returns that Sample, the one a fresh tree gives.
     """
 
     def __init__(self, m: PropMRF, soft_steps: Sequence[int], proposal: _NodeProposal):
@@ -296,7 +290,8 @@ class _FormulaSampler:
         self.soft_steps = soft_steps
         self._extensions = _step_extensions(m, soft_steps)
         # The hard clauses were checked satisfiable at the sampler's entry.
-        self.root = _Node(unit_propagate(m[1]))
+        true, _, residual = unit_propagate(m[1])
+        self.root = _Node((true, residual))
 
     def _expand(self, node: _Node, values: list[bool]) -> None:
         """Walk the steps after node's prefix, which values holds, appending
@@ -329,7 +324,7 @@ class _FormulaSampler:
 
     def _finish(self, leaf: _Node, values: Sequence[bool], qb: float) -> Sample:
         num_vars, _, soft = self.model
-        true, _, residual = leaf.state
+        true, residual = leaf.state
         leaf.state = None
         if residual:
             counting = (num_vars, (*(frozenset((lit,)) for lit in true), *residual), ())
@@ -433,8 +428,8 @@ class _BpProposal:
 
     formula_proposal reads the forced literals only on the variables of the
     step's clause, so the memo is keyed on the step and on those forced
-    literals.  It lives as long as the object, one run; a pickled proposal,
-    as the workers get it, carries the BP run and the order, not the memo.
+    literals.  It lives as long as the object, one run, and serves every
+    stream of draws on the run's tree.
     """
 
     def __init__(self, marginals: BpMarginals, order: Sequence[int]):
@@ -445,9 +440,6 @@ class _BpProposal:
             for i in order
         ]
         self._memo: dict[tuple[int, frozenset[int]], float] = {}
-
-    def __reduce__(self):
-        return _BpProposal, (self.marginals, self.order)
 
     def __call__(self, pos: int, values: Sequence[bool], true: set[int]) -> float:
         key = (pos, self._scopes[pos] & true)
@@ -486,8 +478,8 @@ def _formula_sampling(
     bp_config: BpConfig,
 ) -> tuple[tuple[int, ...], _NodeProposal, BpMarginals | None]:
     """The setup shared by run_fis and enumerate_formula_assignments: the
-    step order; the sampler's proposal; and the BP run behind it, None for a
-    custom proposal.  Checks m for sampling first."""
+    step order; the sampler's proposal, any Proposal at any jobs; and the BP
+    run behind it, None for a custom proposal.  Checks m for sampling first."""
     _validate_sampling_model(m)
     order = tuple(_resolve_h_order(len(m.soft), h_order))
     if proposal is not None:
@@ -501,15 +493,6 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
     the same doubles as k calls of random()."""
     while True:
         yield from rng.random(1024).tolist()
-
-
-def _draws(args) -> list[Sample]:
-    """n draws on a fresh prefix tree, from a generator seeded by seed (an
-    int or a SeedSequence): run_fis's draws, in this process or a worker's."""
-    m, order, proposal, n, seed = args
-    sampler = _FormulaSampler(m, order, proposal)
-    uniforms = _uniforms(np.random.default_rng(seed))
-    return [sampler.draw(uniforms) for _ in range(n)]
 
 
 def run_fis(
@@ -526,35 +509,32 @@ def run_fis(
     The clauses are sampled in declaration order unless h_order supplies a
     permutation of the soft clause indices.  The default proposal comes from
     one belief propagation run on the model; pass proposal to override it.
-    With jobs > 1 the draws are split into jobs chunks, each seeded from an
-    independent spawn of the base seed and run in a pool of at most
-    os.cpu_count() processes, so results depend on jobs but are
-    reproducible for a given (seed, jobs) pair.  A custom proposal is not
-    sent to the workers, so it is refused with jobs > 1.
+    With jobs > 1 the draws are split into jobs streams, the first ones one
+    draw larger, each seeded from an independent spawn of the base seed, so
+    results depend on jobs but are reproducible for a given (seed, jobs)
+    pair.  The streams are drawn one after another in this process on one
+    prefix tree, which only caches what a draw computes: each stream draws
+    what it would on a fresh tree.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    if proposal is not None and jobs > 1:
-        raise ValueError("a custom proposal cannot be used with jobs > 1")
     order, node_proposal, marginals = _formula_sampling(m, h_order, proposal, bp_config)
 
-    if jobs == 1:
-        samples = tuple(_draws((m, order, node_proposal, n_samples, seed)))
-    else:
-        seqs = np.random.SeedSequence(seed).spawn(jobs)
-        base, extra = divmod(n_samples, jobs)
-        counts = [base + (1 if k < extra else 0) for k in range(jobs)]
-        tasks = [(m, order, node_proposal, n, s) for n, s in zip(counts, seqs) if n]
-        with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
-            samples = tuple(s for chunk in pool.map(_draws, tasks) for s in chunk)
+    seeds = [seed] if jobs == 1 else np.random.SeedSequence(seed).spawn(jobs)
+    sampler = _FormulaSampler(m, order, node_proposal)
+    samples: list[Sample] = []
+    for k, stream_seed in enumerate(seeds):
+        uniforms = _uniforms(np.random.default_rng(stream_seed))
+        n = n_samples // jobs + (k < n_samples % jobs)
+        samples += [sampler.draw(uniforms) for _ in range(n)]
     log_weights = np.array([s.log_estimate for s in samples])
     return FisResult(
         model=m,
         h_clauses=tuple(m.soft[j].clause for j in order),
         h_order=order,
-        samples=samples,
+        samples=tuple(samples),
         estimate=estimate_from_log_weights(log_weights),
         bp=marginals,
     )

@@ -147,9 +147,10 @@ def _child_message(
     belief's size, as (M, K, L): the dropped axes before msg's last axis,
     msg's axes, then the trailing run of dropped axes.  numpy sums the
     dropped axes of a C-contiguous table pairwise along its trailing run
-    and then sequentially in C order, as sum(axis=2).sum(axis=0) does here,
-    and max is exact in any order, so the bits are those of the same
-    reduction over belief's own layout, without its 2-entry inner loops.
+    and then sequentially in C order, as sum(axis=2).sum(axis=0) does here
+    (or sum(axis=0) of the [:, :, 0] view, with no copy, when L is 1), and
+    max is exact in any order, so the bits are those of the same reduction
+    over belief's own layout, without its 2-entry inner loops.
     With no axis to drop, the message is belief - msg in a new table.
     belief is never written.
     """
@@ -173,7 +174,7 @@ def _child_message(
     np.maximum(shift, _FLOOR, out=shift)
     table -= shift[:, None]
     np.exp(table, out=table)
-    total = table.sum(axis=2).sum(axis=0)
+    total = (table[:, :, 0] if table.shape[2] == 1 else table.sum(axis=2)).sum(axis=0)
     with np.errstate(divide="ignore"):  # an all -inf entry sums to 0
         np.log(total, out=total)
     total += shift

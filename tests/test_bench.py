@@ -84,6 +84,25 @@ def test_brute_force_marginals_match_naive():
         ) < 1e-10
 
 
+def test_brute_force_marginals_near_the_weight_bound():
+    # At 1e297 a log Z gains nothing from log 2, so dividing by exp(log Z)
+    # would give x2 twice its true mass; the summed weights do not.
+    m = PropMRF.from_lists(2, soft=[(5e299, [1]), (-4.99e299, [1, 2])])
+    assert brute_force_marginals(m).tolist() == [1.0, 0.5]
+    assert brute_force_marginals(m).tolist() == naive_marginals(m).tolist()
+
+
+def test_brute_force_marginals_cross_chunk_boundaries():
+    # The heavy assignments, those with x17 true, all sit in the second
+    # 2^16 chunk; light is the mass with x17 false relative to theirs.
+    m = PropMRF.from_lists(17, soft=[(0.25, [1, 17]), (40.0, [17]), (0.5, [-2, 17])])
+    light = (1 + math.exp(0.25)) * (1 + math.exp(0.5)) / 4 * math.exp(-40.75)
+    got = brute_force_marginals(m)
+    assert got[16] == pytest.approx(1 / (1 + light), rel=1e-12)
+    p1 = (0.5 + light * math.exp(0.25) / (1 + math.exp(0.25))) / (1 + light)
+    assert got[0] == pytest.approx(p1, rel=1e-12)
+
+
 def test_brute_force_marginals_reject_unsatisfiable_models():
     with pytest.raises(ValueError):
         brute_force_marginals(PropMRF.from_lists(1, hard=[[1], [-1]]))

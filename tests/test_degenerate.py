@@ -1,6 +1,6 @@
 """Every entry point on degenerate models: the exact engines, the samplers
-and the CLI against brute force where it is defined (brute_force_z, and
-conftest's naive_marginals), and the expected refusal where it is not."""
+and the CLI against brute force where it is defined (brute_force_z and
+brute_force_marginals), and the expected refusal where it is not."""
 
 import itertools
 import json
@@ -14,6 +14,7 @@ from propmrf import (
     VARIABLE,
     NoConsistentSampleError,
     PropMRF,
+    brute_force_marginals,
     brute_force_z,
     enumerate_formula_assignments,
     exact_marginals,
@@ -26,8 +27,6 @@ from propmrf import (
     write_model,
 )
 from propmrf.cli import main
-
-from conftest import naive_marginals
 
 DEGENERATE = {
     "zero variables": PropMRF(0),
@@ -62,9 +61,7 @@ def test_every_entry_point_on_degenerate_models(name, tmp_path, capsys):
     m = DEGENERATE[name]
     log_z = brute_force_z(m)
     satisfiable = log_z > -math.inf
-    # brute_force_marginals divides by a log Z to which log 2 no longer adds
-    # at 1e297, so the marginals come from the assignment-by-assignment walk.
-    marginals = naive_marginals(m) if satisfiable else None
+    marginals = brute_force_marginals(m) if satisfiable else None
 
     def agrees(got: float) -> bool:
         return got == log_z or math.isclose(got, log_z, rel_tol=1e-12, abs_tol=1e-12)

@@ -17,9 +17,11 @@ from propmrf import (
     fdc_count,
     fdc_marginals,
     gen_fs,
+    gen_qmr,
     gen_random,
     minimal_search_space,
     pick_evidence,
+    run_fis,
     ve_count,
 )
 from propmrf.fdc import canonical_key, choose_branch_clause, condition_on_clause, simplify
@@ -447,12 +449,20 @@ def test_search_nests_deeper_than_the_recursion_limit():
     assert abs(got.log_z - expected) <= 1e-9
 
 
-@pytest.mark.parametrize("search", ["count", "marginals", "minimal"])
+@pytest.mark.parametrize("search", ["count", "marginals", "minimal", "fis-jobs1", "fis-jobs2"])
 def test_searches_leave_no_cyclic_garbage(search):
-    # A search's cache or memo is freed when the call returns, by reference
+    # A search's cache or memo, and the formula sampler's prefix tree with
+    # its leaf searches, are freed when the call returns, by reference
     # counting, not left to the cyclic collector.
     m = gen_random(16, 16, 4, seed=3)
+    # qmr's leaves close without a search; the random model's need one
+    sampled = (
+        gen_qmr(15, 15, 7, seed=1002),
+        pick_evidence(gen_random(20, 20, 5, seed=901), 0.05, seed=901),
+    )
     calls = {
+        "fis-jobs1": lambda: [run_fis(s, 200, seed=0, jobs=1) for s in sampled],
+        "fis-jobs2": lambda: [run_fis(s, 200, seed=0, jobs=2) for s in sampled],
         "count": lambda: fdc_count(m, ve_width_threshold=0),
         "marginals": lambda: fdc_marginals(m, ve_width_threshold=0),
         "minimal": lambda: minimal_search_space(

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import math
-import pickle
 import sys
 
 import numpy as np
@@ -30,11 +29,13 @@ from propmrf import (
     u_from_q,
     vis_marginals,
 )
-from propmrf.bp import formula_proposal, run_bp
+from propmrf.bp import BpConfig, formula_proposal, run_bp
 from propmrf.fdc import FORMULA, fdc_marginals
 from propmrf.fis import (
     _BpProposal,
     _FormulaSampler,
+    _formula_sampling,
+    _uniforms,
     estimate_from_log_weights,
     vis_log_weights,
 )
@@ -197,44 +198,16 @@ def test_run_fis_parallel_jobs_are_deterministic():
     assert len(a.samples) == 40
 
 
-def test_run_fis_starts_no_more_workers_than_tasks(monkeypatch):
-    m = PropMRF.from_lists(2, soft=[(0.5, [1, 2]), (-0.3, [-1])])
-    pooled = run_fis(m, 2, seed=4, jobs=3)
-    pools = []
-
-    class RecordingPool:
-        """Runs the tasks in this process and records the pool size."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, list(tasks))
-
-    monkeypatch.setattr("propmrf.fis.ProcessPoolExecutor", RecordingPool)
-    recorded = run_fis(m, 2, seed=4, jobs=3)
-    assert pools == [2]
-    assert recorded.samples == pooled.samples
-    # No more workers than processors; the draws still split into jobs
-    # seeded chunks, so the samples do not depend on the processor count.
-    by_cpus = {}
-    for cpus in (8, 2, None):
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        by_cpus[cpus] = run_fis(m, 6, seed=4, jobs=6).samples
-    assert pools[1:] == [6, 2, 1]
-    assert by_cpus[2] == by_cpus[None] == by_cpus[8]
-
-
-def test_custom_proposal_rejected_with_multiple_jobs():
-    m = PropMRF.from_lists(2, soft=[(0.5, [1, 2])])
-    with pytest.raises(ValueError):
-        run_fis(m, 10, proposal=lambda pos, values: 0.5, jobs=2)
+def test_custom_proposal_accepted_with_multiple_jobs():
+    # A lambda proposal runs at any jobs, since every stream is drawn in
+    # this process; its draws follow the seed streams like the BP ones.
+    m = PropMRF.from_lists(3, soft=[(0.5, [1, 2]), (-0.3, [-1, 3]), (0.8, [2, -3])])
+    proposal = lambda pos, values: 0.3 + 0.1 * pos + 0.2 * sum(values)  # noqa: E731
+    a = run_fis(m, 40, seed=3, jobs=2, proposal=proposal)
+    b = run_fis(m, 40, seed=3, jobs=2, proposal=proposal)
+    assert a.bp is None and len(a.samples) == 40
+    assert [_sample_fields(s) for s in a.samples] == [_sample_fields(s) for s in b.samples]
+    assert a.estimate.log_z_hat.hex() == b.estimate.log_z_hat.hex()
 
 
 def test_h_order_must_be_a_permutation():
@@ -397,8 +370,8 @@ _QMR_PINS = {
 @pytest.mark.parametrize("jobs", sorted(_QMR_PINS))
 def test_qmr_draws_are_pinned(jobs):
     # Nearly every draw of a two-layer model is a distinct prefix, so this
-    # pins the SAT checks and the proposal at new tree nodes, in this
-    # process and in worker processes.
+    # pins the SAT checks and the proposal at new tree nodes, for one seed
+    # stream and for two streams on one tree.
     log_z_hat, digest = _QMR_PINS[jobs]
     m = gen_qmr(15, 15, 7, seed=8613)
     fis = run_fis(m, 200, seed=5, jobs=jobs)
@@ -480,8 +453,8 @@ def test_enumeration_of_a_long_forced_chain():
 def test_fis_marginals_match_brute_force_per_assignment():
     # Reference: each distinct formula assignment's hard-only model, solved
     # by enumeration, weighted by the samples' importance weights.  Each
-    # model runs in declaration order in this process, and in reversed order
-    # on two workers, which checks that the counting models follow h_order.
+    # model runs in declaration order on one seed stream, and in reversed
+    # order on two, which checks that the counting models follow h_order.
     rng = np.random.default_rng(8612)
     models = [_golden_model()] + [sampling_model(rng, max_vars=7, max_soft=5) for _ in range(6)]
     for (k, m), reverse in itertools.product(enumerate(models), (False, True)):
@@ -597,6 +570,46 @@ _ENUMERATION_DIGESTS = {
 }
 
 
+def _fresh_tree_draws(m, n, seed, jobs, h_order, proposal) -> list:
+    """run_fis's draws as independent chunks: n split as evenly as possible
+    over jobs streams, the first ones one larger, each seeded by its spawn of
+    seed (by seed itself for one stream) and drawn on a fresh tree with a
+    fresh proposal."""
+    if jobs == 1:
+        chunks = [(n, seed)]
+    else:
+        seeds = np.random.SeedSequence(seed).spawn(jobs)
+        chunks = [(n // jobs + (k < n % jobs), s) for k, s in enumerate(seeds)]
+    samples = []
+    for count, chunk_seed in chunks:
+        order, node_proposal, _ = _formula_sampling(m, h_order, proposal, BpConfig())
+        sampler = _FormulaSampler(m, order, node_proposal)
+        uniforms = _uniforms(np.random.default_rng(chunk_seed))
+        samples += [sampler.draw(uniforms) for _ in range(count)]
+    return samples
+
+
+@pytest.mark.parametrize("name", ["hard", "qmr", "evidence", "custom"])
+def test_streams_on_one_tree_draw_as_on_fresh_trees(name):
+    # The shared tree only caches: every stream draws, bit for bit, what
+    # it draws alone on a fresh tree, and the samples come stream by stream.
+    custom = name == "custom"
+    if name == "qmr":
+        m = gen_qmr(15, 15, 7, seed=8613)
+    else:
+        m = _sampler_cases()["hard" if custom else name]
+    proposal = _values_proposal if custom else None
+    for jobs, reverse in itertools.product((1, 2, 3, 4), (False, True)):
+        h_order = list(reversed(range(len(m.soft)))) if reverse else None
+        for n in (1, 5, 60):
+            result = run_fis(m, n, seed=9, h_order=h_order, jobs=jobs, proposal=proposal)
+            expected = _fresh_tree_draws(m, n, 9, jobs, h_order, proposal)
+            got = [_sample_fields(s) for s in result.samples]
+            assert got == [_sample_fields(s) for s in expected]
+            log_z_hat = estimate_from_log_weights([s.log_estimate for s in expected]).log_z_hat
+            assert result.estimate.log_z_hat.hex() == log_z_hat.hex()
+
+
 @pytest.mark.parametrize("name, jobs, reverse", sorted(_RUN_DIGESTS))
 def test_sampler_results_are_pinned(name, jobs, reverse):
     assert _run_digest(name, jobs, reverse) == _RUN_DIGESTS[name, jobs, reverse]
@@ -638,20 +651,6 @@ def test_memoized_proposals_equal_fresh_ones():
     assert misses < calls
 
 
-def test_a_pickled_proposal_carries_no_memo():
-    m = _golden_model()
-    order = tuple(range(len(m.soft)))
-    marginals = run_bp(m)
-    used = _BpProposal(marginals, order)
-    _FormulaSampler(m, order, used).enumerate()
-    assert used._memo
-    sent = pickle.loads(pickle.dumps(used))
-    assert sent._memo == {}
-    assert len(pickle.dumps(used)) == len(pickle.dumps(_BpProposal(marginals, order)))
-    for (pos, literals), p in used._memo.items():
-        assert sent(pos, [], set(literals)) == p
-
-
 def test_qmr_proposal_runs_once_per_key(monkeypatch):
     # The qmr pin's draws ask formula_proposal once per (step, forced
     # literals of the step's clause), 26 times; unmemoized, the same draws
@@ -678,7 +677,7 @@ def test_empty_residual_leaves_match_the_search(monkeypatch):
     free_shares = []
 
     def compared(self, leaf, values, qb):
-        true, _, residual = leaf.state
+        true, residual = leaf.state
         sample = finish(self, leaf, values, qb)
         if not residual:
             num_vars = self.model.num_vars

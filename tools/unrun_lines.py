@@ -6,8 +6,7 @@ gives the statements of each function body in src/propmrf.  A simple
 statement counts as run when any of its lines ran; a compound one when any
 line of its header or body ran.  Docstrings, and global and nonlocal
 declarations, compile to no code and are not listed.  Tests that run
-propmrf in a subprocess or in a worker process (the demos, perfbench, the
-pool's workers) are not traced.
+propmrf in a subprocess (the demos, perfbench) are not traced.
 
 Two tests are left out: the formula-mode minimizer runs on the calibration
 model, which take most of Tier-1's time and reach no statement that the
