@@ -1,13 +1,13 @@
 """Exact partition functions and marginals by decomposition and clause
 conditioning, searched on an explicit stack.
 
-Each search call simplifies its model, splits it into independent
-components along the primal graph, and otherwise conditions on a branching
-clause R: the model's partition function is the sum of the partition
-functions of the true branch (R appended as a hard clause) and the false
-branch (every literal of R forced false).  Branching clauses may be whole
-sub-clauses shared between clauses ("formula" mode) or single variables
-("variable" mode).
+Each search call simplifies its model, which in the same pass splits it
+into independent components along the primal graph, and otherwise
+conditions each component on a branching clause R: the component's
+partition function is the sum of the partition functions of the true branch
+(R appended as a hard clause) and the false branch (every literal of R
+forced false).  Branching clauses may be whole sub-clauses shared between
+clauses ("formula" mode) or single variables ("variable" mode).
 
 A call counts as a leaf when simplification resolves it outright (zero or
 scalar), when a single clause remains (closed form: a hard clause of size s
@@ -17,10 +17,11 @@ Conditioning contributes one node and two child calls; decomposition children
 accumulate their own counts without adding a node.  Calls are generators
 that _run drives on a list, so no search touches Python's recursion limit.
 
-Component results are cached under canonical_key.  Components arrive
-compacted to variables 1..k in ascending order, and the key is that model
-with its clause order erased, so a submodel met again on another branch, or
-under any order-preserving renaming, is solved once.
+Component results are cached under canonical_key.  simplify compacts each
+component once, straight from the numbering of the model it was given, to
+variables 1..k in ascending order, and the key is that model with its clause
+order erased, so a submodel met again on another branch, or under any
+order-preserving renaming, is solved once.
 
 fdc_count, fdc_marginals and minimal_search_space run on the model's own
 form, the (num_vars, hard, soft) triple of model.PropMRF whose clauses are
@@ -29,21 +30,21 @@ of plain frozensets of that shape: the formula sampler hands fdc_marginals
 each leaf's propagated state, its forced literals as unit clauses and its
 residual clauses.  Every clause the search derives is a subset or an
 injective renaming of a validated one, so nothing inside is validated
-again.  The layer steps (simplify, connected_components, canonical_key,
-choose_branch_clause, condition_on_clause, minfill_width,
-clauses_to_factors) are called through this module's names once per step.
+again.  The layer steps (simplify, canonical_key, choose_branch_clause,
+condition_on_clause, minfill_width, clauses_to_factors) are called through
+this module's names once per step.
 
 fdc_marginals runs the same search and returns P(v = true) for every
 variable along with log Z.  Each call returns its model's marginals next to
 its log Z on the way back up, which reads the search trace as a
 decision-DNNF circuit and differentiates it (Darwiche, JACM 2003):
-simplification maps a reduced model's marginals back (forced variables are
-certain, swept ones fair coins), decomposition concatenates its components'
-marginals, conditioning mixes its branches' marginals by their shares
-exp(log Z_branch - log Z), single-clause leaves have a closed form, and
-bucket-elimination leaves run the bucket tree's downward pass.  Cache
-entries hold marginals in the component's own numbering, so a hit returns
-them as stored.  fdc_count does none of this work.
+simplification and decomposition place each component's marginals at the
+component's variables in the call's numbering (forced variables are
+certain, swept ones fair coins), conditioning mixes its branches' marginals
+by their shares exp(log Z_branch - log Z), single-clause leaves have a
+closed form, and bucket-elimination leaves run the bucket tree's downward
+pass.  Cache entries hold marginals in the component's own numbering, so a
+hit returns them as stored.  fdc_count does none of this work.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ from typing import Generator, TypeVar
 
 import numpy as np
 
-from .graph import connected_components, minfill_width
+# The search does not call connected_components; the benchmark's tracer
+# wraps it under this module's name.
+from .graph import connected_components, minfill_width  # noqa: F401
 from .model import BareClause, BareModel, PropMRF, literal_key
 from .simplify import SimplifyOutcome, SimplifyStatus, simplify
 from .ve import LN2, MAX_TABLE_WIDTH, bucket_elimination, bucket_tree, clauses_to_factors
@@ -136,13 +139,10 @@ def choose_branch_clause(m: BareModel, mode: str = FORMULA) -> BranchCandidate:
     intersections: set[frozenset[int]] = set()
     for i, a in enumerate(clauses):
         for b in clauses[i + 1 :]:
-            common = a & b
-            if common:
-                intersections.add(common)
+            if not a.isdisjoint(b):
+                intersections.add(a & b)
     if intersections:
-        score = {
-            r: (sum(1 for lits in clauses if r <= lits), len(r)) for r in intersections
-        }
+        score = {r: (sum(map(r.issubset, clauses)), len(r)) for r in intersections}
         top = max(score.values())
         tied = [r for r, s in score.items() if s == top]
         best = tied[0] if len(tied) == 1 else min(tied, key=_literal_seq_key)
@@ -211,14 +211,12 @@ def _single_clause_marginals(m: BareModel, log_z: float) -> np.ndarray:
     return marginals
 
 
-def _lift(out: SimplifyOutcome, num_vars: int, reduced: np.ndarray | None) -> np.ndarray:
-    """Marginals of the model simplify() was given, from those of its reduced
-    model: forced variables are certain and swept variables are fair coins."""
+def _lift(out: SimplifyOutcome, num_vars: int) -> np.ndarray:
+    """Marginals of the model simplify() was given, outside its components:
+    forced variables are certain and swept variables are fair coins."""
     marginals = np.full(num_vars, 0.5)
     for lit in out.forced:
         marginals[abs(lit) - 1] = 1.0 if lit > 0 else 0.0
-    if out.variables:
-        marginals[np.array(out.variables) - 1] = reduced
     return marginals
 
 
@@ -292,10 +290,9 @@ def _search(
             stats.leaves += 1
             if not with_marginals:
                 return out.log_weight, None
-            return out.log_weight, _lift(out, model[0], None)
-        components = connected_components(out.model)
+            return out.log_weight, _lift(out, model[0])
         parts = []
-        for component in components:
+        for component in out.components:
             c = component.model
             if cache is not None:
                 key = canonical_key(c)
@@ -324,10 +321,10 @@ def _search(
         log_z = out.log_weight + sum(part[0] for part in parts)
         if not with_marginals or log_z == -math.inf:
             return log_z, None
-        reduced = np.empty(out.model[0])
-        for component, (_, part) in zip(components, parts):
-            reduced[np.array(component.variables) - 1] = part
-        return log_z, _lift(out, model[0], reduced)
+        marginals = _lift(out, model[0])
+        for component, (_, part) in zip(out.components, parts):
+            marginals[np.array(component.variables) - 1] = part
+        return log_z, marginals
 
     try:
         log_z, marginals = _run(solve(m))
@@ -415,7 +412,7 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
         if out.status is not SimplifyStatus.OPEN:
             return (1, 0)
         leaves = nodes = 0
-        for component in connected_components(out.model):
+        for component in out.components:
             c = component.model
             key = canonical_key(c, with_weights=False)
             cost = memo.get(key)

@@ -337,7 +337,7 @@ class _FormulaSampler:
             qb=qb,
             log_count=log_count,
             log_soft_weight=sum(
-                soft[j][1] for j, value in zip(self.soft_steps, values) if value
+                (soft[j][1] for j, value in zip(self.soft_steps, values) if value), 0.0
             ),
             log_qb=math.log(qb) if qb >= sys.float_info.min else self._log_qb(values),
             marginals=marginals,

@@ -5,8 +5,9 @@ edge between every pair of variables sharing a clause.  Variables occurring in
 no clause are not vertices; simplification accounts for them separately.
 
 These functions take a model as its (num_vars, hard, soft) triple of
-frozenset clauses (a PropMRF or a plain model.BareModel), and
-connected_components returns plain component models.
+frozenset clauses (a PropMRF or a plain model.BareModel).  The one
+union-find, split_components, splits simplify's reduced clauses and
+connected_components' whole models into plain component models.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import Sequence
 
-from .model import BareModel, compact_bare
+from .model import BareClause, BareModel, compact_bare
 
 
 @dataclass(frozen=True)
 class Component:
-    """One connected component: its original variables, ascending, and its
-    submodel compacted to 1..k in that order (variable i is variables[i - 1])."""
+    """One connected component: its variables, ascending, in the numbering of
+    the clauses it was split from, and its submodel compacted once from that
+    numbering to 1..k in the same order (variable i is variables[i - 1])."""
 
     variables: tuple[int, ...]
     model: BareModel
@@ -54,41 +57,54 @@ def connected_components(m: BareModel) -> list[Component]:
     Each component model is renumbered to 1..k over its own variables in
     ascending order, so the partition function of m (when every declared
     variable occurs in a clause) is the product of the component partition
-    functions.  A model that is a
-    single component over all its variables is returned as it is.
+    functions.  A model that is a single component over all its variables is
+    returned as it is.
     """
     num_vars, hard, soft = m
-    # Union-find over variables, with path halving.
-    parent = list(range(num_vars + 1))
-    used = [False] * (num_vars + 1)
-    for clause in chain(hard, (c for c, _ in soft)):
+    components = split_components(num_vars, hard, soft)
+    if len(components) == 1 and len(components[0].variables) == num_vars:
+        return [Component(components[0].variables, m)]
+    return components
+
+
+def split_components(
+    num_vars: int, hard: Sequence[BareClause], soft: Sequence[tuple[BareClause, float]]
+) -> list[Component]:
+    """The components of the clauses, ordered by smallest variable, each
+    compacted once from the clauses' numbering; a component's clauses keep
+    their input order, hard then soft."""
+    # Union-find with path halving; parent[v] is 0 until v occurs.  used -
+    # joined counts the components, so a single one skips the grouping.
+    parent = [0] * (num_vars + 1)
+    used = joined = 0
+    for clause in chain(hard, [c for c, _ in soft]):
         root = 0
         for lit in clause:
             v = lit if lit > 0 else -lit
-            used[v] = True
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
+            if not parent[v]:
+                parent[v] = v
+                used += 1
+            else:
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
             if not root:
                 root = v
             elif v != root:
                 parent[v] = root
+                joined += 1
+    if used - joined == 1:
+        variables = [v for v in range(1, num_vars + 1) if parent[v]]
+        return [Component(tuple(variables), compact_bare(hard, soft, variables))]
 
     members: dict[int, list[int]] = {}
     for v in range(1, num_vars + 1):
-        if used[v]:
+        if parent[v]:
             root = v
             while parent[root] != root:
                 root = parent[root]
             parent[v] = root
             members.setdefault(root, []).append(v)
-    if len(members) == 1:
-        (variables,) = members.values()
-        if len(variables) == num_vars:
-            return [Component(tuple(variables), m)]
-    elif not members:
-        return []
-
     by_root_hard: dict[int, list] = {r: [] for r in members}
     by_root_soft: dict[int, list] = {r: [] for r in members}
     for clause in hard:

@@ -340,13 +340,14 @@ def compact_bare(
     k = len(variables)
     if not k or variables[-1] == k:
         return (k, tuple(hard), tuple(soft))
-    rename: dict[int, int] = {}
+    # Indexed by literal: -v reads from the end, past the positive half.
+    rename = [0] * (2 * variables[-1] + 1)
     for i, v in enumerate(variables, start=1):
         rename[v] = i
         rename[-v] = -i
     get = rename.__getitem__
     return (
         k,
-        tuple(frozenset(map(get, c)) for c in hard),
-        tuple((frozenset(map(get, c)), w) for c, w in soft),
+        tuple([frozenset(map(get, c)) for c in hard]),
+        tuple([(frozenset(map(get, c)), w) for c, w in soft]),
     )

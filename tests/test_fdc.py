@@ -77,6 +77,59 @@ def test_branch_choice_falls_back_to_most_frequent_literal():
     assert candidate.occurrence_count == 1
 
 
+def _pairwise_branch_clause(m, mode):
+    """The branching heuristic as it was written first: every intersection
+    built and scored against every clause in its own pass."""
+    _, hard, soft = m
+    clauses = list(hard) + [c for c, _ in soft]
+    if mode == VARIABLE:
+        counts: dict[int, int] = {}
+        for lits in clauses:
+            for lit in lits:
+                counts[abs(lit)] = counts.get(abs(lit), 0) + 1
+        best_var = min(counts, key=lambda v: (-counts[v], v))
+        return frozenset((best_var,)), counts[best_var], 1
+    intersections = set()
+    for i, a in enumerate(clauses):
+        for b in clauses[i + 1 :]:
+            common = a & b
+            if common:
+                intersections.add(common)
+    if intersections:
+        score = {r: (sum(1 for lits in clauses if r <= lits), len(r)) for r in intersections}
+        top = max(score.values())
+        tied = [r for r, s in score.items() if s == top]
+        key = lambda r: tuple((abs(l), l < 0) for l in sorted(r, key=abs))
+        return (tied[0] if len(tied) == 1 else min(tied, key=key)), *top
+    lit_counts: dict[int, int] = {}
+    for lits in clauses:
+        for lit in lits:
+            lit_counts[lit] = lit_counts.get(lit, 0) + 1
+    best_lit = min(lit_counts, key=lambda l: (-lit_counts[l], abs(l), l < 0))
+    return frozenset((best_lit,)), lit_counts[best_lit], 1
+
+
+def test_branch_choice_matches_the_pairwise_scoring(monkeypatch):
+    # Every branch input of one search pass over the first two instances of
+    # the benchmark's search workload at seed 1, in both modes.
+    inputs = []
+
+    def recording(model, mode):
+        inputs.append((model, mode))
+        return choose_branch_clause(model, mode)
+
+    monkeypatch.setattr("propmrf.fdc.choose_branch_clause", recording)
+    for seed in (1181610612, 2092658369):
+        m = gen_random(24, 24, 5, seed=seed)
+        for mode in (FORMULA, VARIABLE):
+            fdc_count(m, mode=mode, ve_width_threshold=0)
+    assert {mode for _, mode in inputs} == {FORMULA, VARIABLE}
+    assert len(inputs) > 1000
+    for model, mode in inputs:
+        c = choose_branch_clause(model, mode)
+        assert (c.clause, c.occurrence_count, c.size) == _pairwise_branch_clause(model, mode)
+
+
 def test_fdc_count_matches_enumeration_all_configurations():
     rng = np.random.default_rng(8402)
     for _ in range(120):

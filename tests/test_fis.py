@@ -493,6 +493,17 @@ def test_an_underflowed_draw_probability_keeps_its_log():
             assert s.log_estimate == s.log_count + s.log_soft_weight - math.log(s.qb)
 
 
+def test_log_soft_weight_is_a_float_with_no_true_step():
+    # The leaf where every step is false sums no weight; its field is still
+    # a float, drawn or enumerated.
+    m = PropMRF.from_lists(3, soft=[(0.5, [1, 2]), (-0.4, [-3])])
+    drawn = run_fis(m, 200, seed=3).samples
+    for samples in (enumerate_formula_assignments(m), drawn):
+        assert any(not any(s.h.values) for s in samples)
+        for s in samples:
+            assert type(s.log_soft_weight) is float
+
+
 def _sample_fields(s) -> list:
     return [
         list(s.h.values),
