@@ -248,7 +248,6 @@ class GenSpec:
     weight_low: float = DEFAULT_WEIGHT_LOW
     weight_high: float = DEFAULT_WEIGHT_HIGH
     evidence_fraction: float = 0.0
-    evidence_seed: int | None = None
 
 
 FAMILIES = {
@@ -271,8 +270,5 @@ def generate(spec: GenSpec) -> PropMRF:
         weight_high=spec.weight_high,
     )
     if spec.evidence_fraction > 0.0:
-        evidence_seed = (
-            spec.seed if spec.evidence_seed is None else spec.evidence_seed
-        )
-        model = pick_evidence(model, spec.evidence_fraction, seed=evidence_seed)
+        model = pick_evidence(model, spec.evidence_fraction, seed=spec.seed)
     return model

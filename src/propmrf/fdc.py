@@ -9,10 +9,10 @@ partition function is the sum of the partition functions of the true branch
 forced false).  Branching clauses may be whole sub-clauses shared between
 clauses ("formula" mode) or single variables ("variable" mode).
 
-A call counts as a leaf when simplification resolves it outright (zero or
-scalar), when a single clause remains (closed form: a hard clause of size s
-admits 2^s - 1 models; a soft one contributes (2^s - 1)e^w + 1), or when the
-model's min-fill width is small enough to hand it to bucket elimination.
+A call counts as a leaf when simplification leaves no component, when a
+single clause remains (closed form: a hard clause of size s admits 2^s - 1
+models; a soft one contributes (2^s - 1)e^w + 1), or when the model's
+min-fill width is small enough to hand it to bucket elimination.
 Conditioning contributes one node and two child calls; decomposition children
 accumulate their own counts without adding a node.  Calls are generators
 that _run drives on a list, so no search touches Python's recursion limit.
@@ -60,7 +60,7 @@ import numpy as np
 # wraps it under this module's name.
 from .graph import connected_components, minfill_width  # noqa: F401
 from .model import BareClause, BareModel, PropMRF, literal_key
-from .simplify import SimplifyOutcome, SimplifyStatus, simplify
+from .simplify import SimplifyOutcome, simplify
 from .ve import LN2, MAX_TABLE_WIDTH, bucket_elimination, bucket_tree, clauses_to_factors
 
 FORMULA = "formula"
@@ -283,14 +283,8 @@ def _search(
 
     def solve(model: BareModel) -> Generator[Generator, _Result, _Result]:
         out = simplify(model)
-        if out.status is SimplifyStatus.ZERO:
+        if not out.components:
             stats.leaves += 1
-            return float("-inf"), None
-        if out.status is SimplifyStatus.SCALAR:
-            stats.leaves += 1
-            if not with_marginals:
-                return out.log_weight, None
-            return out.log_weight, _lift(out, model[0])
         parts = []
         for component in out.components:
             c = component.model
@@ -396,7 +390,9 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
     Uses the same leaf convention as fdc_count but with caching off and no
     bucket-elimination fallback, so the counts describe the smallest pure
     conditioning/decomposition search space.  Only practical for tiny models.
-    Like the search, it runs under _run.
+    A candidate whose true branch plus the least a false branch can cost
+    already reaches the best cost found so far skips its false branch.  Like
+    the search, it runs under _run.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
@@ -409,7 +405,7 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
 
     def best(model: BareModel) -> Generator[Generator, tuple[int, int], tuple[int, int]]:
         out = simplify(model)
-        if out.status is not SimplifyStatus.OPEN:
+        if not out.components:
             return (1, 0)
         leaves = nodes = 0
         for component in out.components:
@@ -423,6 +419,11 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
                     for r in _branch_candidates(c, mode):
                         m_true, m_false = condition_on_clause(c, r)
                         t_leaves, t_nodes = yield best(m_true)
+                        # The false branch costs at least (1, 0), so once
+                        # that reaches the incumbent r cannot beat it, and
+                        # every memo entry stays an exact minimum.
+                        if cost is not None and (t_leaves + 1, t_nodes + 1) >= cost:
+                            continue
                         f_leaves, f_nodes = yield best(m_false)
                         branched = (t_leaves + f_leaves, t_nodes + f_nodes + 1)
                         if cost is None or branched < cost:

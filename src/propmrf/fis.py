@@ -540,11 +540,23 @@ def run_fis(
     )
 
 
+def _proposal_q(m: PropMRF, q: np.ndarray) -> np.ndarray:
+    """q as float64, refused unless it holds one probability strictly inside
+    (0, 1) per variable: an entry of 0 or 1 would give log q = -inf."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (m.num_vars,):
+        raise ValueError("q must hold one probability per variable")
+    if not np.all((q > 0.0) & (q < 1.0)):
+        raise ValueError("q entries must lie strictly inside (0, 1)")
+    return q
+
+
 def vis_log_weights(
     m: PropMRF, assignments: np.ndarray, q: np.ndarray
 ) -> np.ndarray:
     """Log importance weight of each row: log potential - log proposal mass,
     with -inf for rows violating a hard clause."""
+    q = _proposal_q(m, q)
     _, hard, soft = m
     assignments = np.asarray(assignments, dtype=bool)
     n_rows = assignments.shape[0]
@@ -586,11 +598,7 @@ def run_vis(
         marginals = run_bp(m, bp_config)
         q = variable_proposal(marginals)
     else:
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != (m.num_vars,):
-            raise ValueError("q must hold one probability per variable")
-        if not np.all((q > 0.0) & (q < 1.0)):
-            raise ValueError("q entries must lie strictly inside (0, 1)")
+        q = _proposal_q(m, q)
     rng = np.random.default_rng(seed)
     assignments = rng.random((n_samples, m.num_vars)) < q
     log_weights = vis_log_weights(m, assignments, q)

@@ -16,13 +16,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import BareClause, BareModel, compact_bare
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One connected component: its variables, ascending, in the numbering of
     the clauses it was split from, and its submodel compacted once from that
     numbering to 1..k in the same order (variable i is variables[i - 1])."""

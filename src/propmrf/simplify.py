@@ -29,10 +29,8 @@ formula sampler share; its residual is the reduced hard formula.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 from .graph import Component, split_components
 from .model import BareClause, BareModel, compact_bare
@@ -41,20 +39,18 @@ from .sat import unit_propagate
 LN2 = math.log(2.0)
 
 
-class SimplifyStatus(enum.Enum):
-    ZERO = "zero"
-    SCALAR = "scalar"
-    OPEN = "open"
-
-
-@dataclass(frozen=True)
-class SimplifyOutcome:
+class SimplifyOutcome(NamedTuple):
     """components hold the reduced model in parts; hard and soft are its
     clauses in the input's numbering.  variables (ascending, in the input's
-    numbering) and model, the whole reduced model, are compacted when read."""
+    numbering) and model, the whole reduced model, are compacted when read.
+
+    A caller reads the kind of outcome off log_weight and components.  A
+    zero outcome (the hard clauses conflict) has log_weight -inf; a scalar
+    one (nothing is left to count) has a finite log_weight and no
+    components, and then no clauses either.  In both, Z of the input is
+    exp(log_weight)."""
 
     log_weight: float
-    status: SimplifyStatus
     forced: AbstractSet[int] = frozenset()
     components: Sequence[Component] = ()
     hard: Sequence[BareClause] = ()
@@ -74,7 +70,7 @@ def simplify(m: BareModel) -> SimplifyOutcome:
 
     propagated = unit_propagate(hard)
     if propagated is None:
-        return SimplifyOutcome(float("-inf"), SimplifyStatus.ZERO)
+        return SimplifyOutcome(float("-inf"))
     true, false, reduced_hard = propagated
 
     log_weight = 0.0
@@ -109,9 +105,4 @@ def simplify(m: BareModel) -> SimplifyOutcome:
     used = sum(len(c.variables) for c in components)
     for _ in range(num_vars - len(true) - used):
         log_weight += LN2
-
-    if not components:
-        return SimplifyOutcome(log_weight, SimplifyStatus.SCALAR, true)
-    return SimplifyOutcome(
-        log_weight, SimplifyStatus.OPEN, true, components, kept, reduced_soft
-    )
+    return SimplifyOutcome(log_weight, true, components, kept, reduced_soft)

@@ -24,7 +24,13 @@ from propmrf import (
     run_fis,
     ve_count,
 )
-from propmrf.fdc import canonical_key, choose_branch_clause, condition_on_clause, simplify
+from propmrf.fdc import (
+    _branch_candidates,
+    canonical_key,
+    choose_branch_clause,
+    condition_on_clause,
+    simplify,
+)
 from propmrf.graph import connected_components
 
 from conftest import calibration_model, naive_log_z, random_clause, random_mixed_model
@@ -228,6 +234,50 @@ def test_minimal_search_space_size_guard():
     )
     with pytest.raises(InstanceTooLargeError):
         minimal_search_space(wide, FORMULA)
+
+
+def _minimal_search_space_without_bound(m, mode):
+    """(leaves, nodes) of minimal_search_space as it was before its local
+    bound: both branches of every candidate are searched."""
+    memo = {}
+
+    def best(model):
+        out = simplify(model)
+        if not out.components:
+            return (1, 0)
+        leaves = nodes = 0
+        for component in out.components:
+            c = component.model
+            key = canonical_key(c, with_weights=False)
+            if key not in memo:
+                if len(c[1]) + len(c[2]) == 1:
+                    memo[key] = (1, 0)
+                else:
+                    costs = []
+                    for r in _branch_candidates(c, mode):
+                        (t_leaves, t_nodes), (f_leaves, f_nodes) = map(
+                            best, condition_on_clause(c, r)
+                        )
+                        costs.append((t_leaves + f_leaves, t_nodes + f_nodes + 1))
+                    memo[key] = min(costs)
+            leaves += memo[key][0]
+            nodes += memo[key][1]
+        return (leaves, nodes)
+
+    return best(m)
+
+
+@pytest.mark.parametrize("mode", [FORMULA, VARIABLE])
+def test_local_bound_keeps_the_minimum(mode):
+    rng = np.random.default_rng(8406)
+    branched = 0
+    for _ in range(150):
+        m = random_mixed_model(rng, max_vars=7, max_hard=2, max_soft=4)
+        stats = minimal_search_space(m, mode)
+        expected = _minimal_search_space_without_bound(m, mode)
+        assert (stats.leaves, stats.nodes) == expected
+        branched += stats.nodes > 0
+    assert branched > 30
 
 
 def test_formula_minimum_never_exceeds_variable_minimum():

@@ -151,6 +151,20 @@ def test_u_from_q_masses_and_conditionals():
             u_from_q(m, np.full(shape, 0.5))
 
 
+def test_vis_weights_refuse_a_proposal_outside_the_open_interval():
+    # u_from_q accepts q of exactly 0 or 1; the VIS weights would take
+    # 0 * log 0 for it, so they refuse it as run_vis does.
+    m = PropMRF.from_lists(2, soft=[(0.5, [1]), (0.2, [2])])
+    rows = np.array([[True, False], [False, False], [True, True]])
+    for q in ([1.0, 0.25], [0.0, 0.25], [0.5, 1.0]):
+        with pytest.raises(ValueError, match="strictly inside"):
+            vis_log_weights(m, rows, np.array(q))
+    for shape in (1, 3):
+        with pytest.raises(ValueError, match="one probability per variable"):
+            vis_log_weights(m, rows, np.full(shape, 0.5))
+    assert np.all(np.isfinite(vis_log_weights(m, rows, np.array([0.5, 0.25]))))
+
+
 def test_u_from_q_with_certain_variables():
     # q of exactly 1 leaves the profiles of x1 = false at mass 0, so the
     # conditional after a false first step has no mass to normalize by.

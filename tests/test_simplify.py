@@ -6,7 +6,7 @@ import pytest
 from propmrf import Clause, PropMRF
 from propmrf.model import compact_bare
 from propmrf.sat import unit_propagate
-from propmrf.simplify import SimplifyStatus, simplify
+from propmrf.simplify import simplify
 
 from conftest import naive_log_z, random_mixed_model
 from test_degenerate import DEGENERATE
@@ -17,14 +17,14 @@ LN2 = math.log(2.0)
 def test_conflicting_units_give_zero():
     m = PropMRF.from_lists(2, hard=[[1], [-1]], soft=[(0.5, [2])])
     out = simplify(m)
-    assert out.status is SimplifyStatus.ZERO
     assert out.log_weight == -math.inf
+    assert not out.components
 
 
 def test_fully_resolved_model_gives_scalar():
     m = PropMRF.from_lists(2, hard=[[1]], soft=[(0.7, [1, 2])])
     out = simplify(m)
-    assert out.status is SimplifyStatus.SCALAR
+    assert not out.components
     # the unit makes the soft clause satisfied; variable 2 becomes free
     assert out.log_weight == pytest.approx(0.7 + LN2, abs=1e-15)
     assert out.model[1:] == ((), ())
@@ -33,7 +33,7 @@ def test_fully_resolved_model_gives_scalar():
 def test_satisfied_soft_weight_extracted_by_propagation():
     m = PropMRF.from_lists(3, hard=[[2]], soft=[(1.3, [2, 3]), (0.2, [1, 3])])
     out = simplify(m)
-    assert out.status is SimplifyStatus.OPEN
+    assert out.components
     assert out.log_weight == pytest.approx(1.3, abs=1e-15)
     # remaining model: soft (1, 3) renumbered over {1, 3} -> {1, 2}
     assert out.model == PropMRF.from_lists(2, soft=[(0.2, [1, 2])])
@@ -43,7 +43,7 @@ def test_falsified_soft_clause_dropped_without_weight():
     m = PropMRF.from_lists(2, hard=[[-1]], soft=[(5.0, [1]), (0.4, [1, 2])])
     out = simplify(m)
     # soft (1) is falsified outright; soft (1, 2) shrinks to (2)
-    assert out.status is SimplifyStatus.OPEN
+    assert out.components
     assert out.log_weight == pytest.approx(0.0, abs=1e-15)
     assert out.model == PropMRF.from_lists(1, soft=[(0.4, [1])])
 
@@ -75,30 +75,30 @@ def test_hard_subsumption_keeps_subset_clause():
 def test_free_variable_sweep():
     m = PropMRF.from_lists(5, soft=[(0.3, [1, 2])])
     out = simplify(m)
-    assert out.status is SimplifyStatus.OPEN
+    assert out.components
     assert out.log_weight == pytest.approx(3 * LN2, abs=1e-15)
     assert out.model[0] == 2
 
 
 def test_empty_model_is_scalar_of_free_variables():
     out = simplify(PropMRF(4))
-    assert out.status is SimplifyStatus.SCALAR
+    assert not out.components
     assert out.log_weight == pytest.approx(4 * LN2, abs=1e-15)
 
 
 def test_empty_hard_clause_gives_zero():
     out = simplify(PropMRF(1, (Clause([]),), ()))
-    assert out.status is SimplifyStatus.ZERO
+    assert out.log_weight == -math.inf
 
 
 def test_simplify_is_idempotent():
     rng = np.random.default_rng(8101)
     for _ in range(100):
         out = simplify(random_mixed_model(rng))
-        if out.status is not SimplifyStatus.OPEN:
+        if not out.components:
             continue
         again = simplify(out.model)
-        assert again.status is SimplifyStatus.OPEN
+        assert again.components
         assert again.log_weight == 0.0
         assert again.model == out.model
 
@@ -109,10 +109,10 @@ def test_partition_function_invariance():
         m = random_mixed_model(rng)
         out = simplify(m)
         original = naive_log_z(m)
-        if out.status is SimplifyStatus.ZERO:
+        if out.log_weight == -math.inf:
             assert original == -math.inf
             continue
-        reduced = naive_log_z(PropMRF(*out.model)) if out.status is SimplifyStatus.OPEN else 0.0
+        reduced = naive_log_z(PropMRF(*out.model)) if out.components else 0.0
         got = out.log_weight + reduced
         if original == -math.inf:
             assert got == -math.inf
@@ -126,7 +126,7 @@ def test_open_outcome_has_no_units_and_no_free_variables():
     rng = np.random.default_rng(8103)
     for _ in range(150):
         out = simplify(random_mixed_model(rng))
-        if out.status is not SimplifyStatus.OPEN:
+        if not out.components:
             continue
         num_vars, hard, soft = out.model
         assert all(len(c) > 1 for c in hard)
@@ -137,12 +137,13 @@ def test_open_outcome_has_no_units_and_no_free_variables():
 
 
 def _reference_simplify(m):
-    """simplify as it was before it split: the reduced model compacted over
-    its variables, with those variables, or None for a SCALAR or ZERO one."""
+    """simplify as it was before it split: its outcome's label ("zero",
+    "scalar" or "open") and the reduced model compacted over its variables,
+    with those variables, or None for a scalar or zero one."""
     num_vars, hard, soft = m
     propagated = unit_propagate(hard)
     if propagated is None:
-        return SimplifyStatus.ZERO, float("-inf"), frozenset(), None, ()
+        return "zero", float("-inf"), frozenset(), None, ()
     true, false, reduced_hard = propagated
     log_weight = 0.0
     reduced_soft = []
@@ -175,10 +176,18 @@ def _reference_simplify(m):
     for _ in range(num_vars - len(true) - len(occurring)):
         log_weight += LN2
     if not literals:
-        return SimplifyStatus.SCALAR, log_weight, true, None, ()
+        return "scalar", log_weight, true, None, ()
     variables = sorted(occurring)
     reduced = compact_bare(kept, reduced_soft, variables)
-    return SimplifyStatus.OPEN, log_weight, true, reduced, tuple(variables)
+    return "open", log_weight, true, reduced, tuple(variables)
+
+
+def _label(out):
+    """The outcome's label, read off its fields: -inf is zero, and a finite
+    weight with no components is scalar."""
+    if out.log_weight == -math.inf:
+        return "zero"
+    return "open" if out.components else "scalar"
 
 
 def _reference_components(m):
@@ -238,17 +247,17 @@ def _split_cases():
 
 def test_simplify_splits_as_simplify_then_connected_components():
     multi = 0
-    statuses = set()
+    labels = set()
     for m in _split_cases():
         out = simplify(m)
-        statuses.add(out.status)
-        status, log_weight, forced, reduced, variables = _reference_simplify(m)
-        assert out.status is status
+        label, log_weight, forced, reduced, variables = _reference_simplify(m)
+        labels.add(label)
+        assert _label(out) == label
         assert out.log_weight.hex() == log_weight.hex()
         assert out.forced == forced
         assert out.variables == variables
         if reduced is None:
-            assert out.components == ()
+            assert not out.components
             assert out.model == (0, (), ())
             continue
         assert out.model == reduced
@@ -258,5 +267,5 @@ def test_simplify_splits_as_simplify_then_connected_components():
         ]
         assert [(c.variables, c.model) for c in out.components] == expected
         multi += len(expected) > 1
-    assert statuses == set(SimplifyStatus)
+    assert labels == {"zero", "scalar", "open"}
     assert multi > 50
