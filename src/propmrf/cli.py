@@ -547,7 +547,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - safety net
-        print(f"internal error: {exc}", file=sys.stderr)
+        # Name the type: a bare MemoryError has no message.
+        print(f"internal error: {type(exc).__name__}: {exc}".removesuffix(": "), file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
 

@@ -12,20 +12,20 @@ bucket is empty when reached is unconstrained and contributes ln 2.  Every
 scope is ascending, so a factor lines up with a wider table by a reshape.
 
 The buckets and messages form a tree (a forest when a message sums to a
-scalar).  bucket_tree keeps the upward messages and then walks the tree
-back down (Kask, Dechter, Larrosa & Dechter, AIJ 2005): each bucket's
-product is rebuilt from its factors, its children's messages and the
-message from its parent, so it holds the joint weight of its scope over the
-whole model.  The bucket variable's marginal is read off that product by
-exp and sum, shifted by the product's largest entry.  Each child is sent
-the product with the child's own message removed and the rest summed out
-by a log-sum-exp shifted per output entry by that entry's largest term.
-The difference is written once, into the table the marginal was computed
-in, laid out so that every reduction runs over contiguous memory in the
-order numpy would sum the product's own layout (_child_message).  Where a
-message holds -inf, so does the product, and those entries stay -inf
-instead of becoming NaN.  The downward pass only feeds the marginals, which
-therefore agree with a log-space reduction to rounding, not bit for bit.
+scalar).  bucket_tree keeps the upward messages and products and then
+walks the tree back down (Kask, Dechter, Larrosa & Dechter, AIJ 2005): the
+message from its parent is added into each bucket's product in place, so it
+holds the joint weight of its scope over the whole model.  The bucket
+variable's marginal is read off that product by exp and sum, shifted by the
+product's largest entry.  Each child is sent the product with the child's
+own message removed and the rest summed out by a log-sum-exp shifted per
+output entry by that entry's largest term.  The difference is written once,
+into the table the marginal was computed in, laid out so that every
+reduction runs over contiguous memory in the order numpy would sum the
+product's own layout (_child_message).  Where a message holds -inf, so does
+the product, and those entries stay -inf instead of becoming NaN.  The
+downward pass only feeds the marginals, which therefore agree with a
+log-space reduction to rounding, not bit for bit.
 
 No table wider than MAX_TABLE_WIDTH variables is built: the truth tables,
 the factor builders, the bucket products and ve_count's min-fill order check
@@ -182,11 +182,11 @@ def _child_message(
 
 
 def _eliminate(
-    factors: Sequence[Factor], order: Sequence[int], max_width: int
-) -> tuple[float, list[list[Factor]], list[Factor | None]]:
-    """The upward pass: log Z, each bucket's factors including the messages
-    it received, and the message each bucket sent (None when the bucket was
-    empty or its message was a scalar)."""
+    factors: Sequence[Factor], order: Sequence[int], max_width: int, keep: bool = False
+) -> tuple[float, list[tuple[tuple[int, ...], np.ndarray] | None], list[Factor | None]]:
+    """The upward pass: log Z, each bucket's product (scope, table) if keep
+    (else None: freed once summed out), and the message each bucket sent
+    (None when the bucket was empty or its message was a scalar)."""
     position = {v: i for i, v in enumerate(order)}
     for f in factors:
         for v in f.scope:
@@ -194,6 +194,7 @@ def _eliminate(
                 raise ValueError(f"variable {v} missing from elimination order")
 
     buckets: list[list[Factor]] = [[] for _ in order]
+    products: list[tuple[tuple[int, ...], np.ndarray] | None] = [None] * len(order)
     sent: list[Factor | None] = [None] * len(order)
     constant = 0.0
     for f in factors:
@@ -208,6 +209,7 @@ def _eliminate(
             constant += LN2
             continue
         scope, table = _product(bucket, max_width)
+        products[i] = (scope, table) if keep else None
         a = scope.index(v)
         summed = Factor(scope[:a] + scope[a + 1 :], np.logaddexp(*_halves(table, a)))
         if not summed.scope:
@@ -215,7 +217,7 @@ def _eliminate(
         else:
             buckets[min(position[u] for u in summed.scope)].append(summed)
             sent[i] = summed
-    return constant, buckets, sent
+    return constant, products, sent
 
 
 def bucket_elimination(
@@ -235,12 +237,12 @@ def bucket_tree(
     """log Z and P(v = true) for each variable of the order, in order.
 
     Same inputs and width bound as bucket_elimination.  The marginals are
-    None when the factor product is zero everywhere.  A bucket with
-    children keeps its product intact and builds each child's message in
-    the table its marginal was computed in, so no other table of the
-    product's size is alive.
+    None when the factor product is zero everywhere.  Each bucket's
+    product is built once, in the upward pass, and dropped once its
+    marginal and child messages are read.  A bucket with children builds
+    each child's message in the table its marginal was computed in.
     """
-    log_z, buckets, sent = _eliminate(factors, order, max_width)
+    log_z, products, sent = _eliminate(factors, order, max_width, keep=True)
     if log_z == -math.inf:
         return log_z, None
     position = {v: i for i, v in enumerate(order)}
@@ -252,13 +254,11 @@ def bucket_tree(
     marginals = np.full(len(order), 0.5)
     down: dict[int, Factor] = {}
     for j in reversed(range(len(order))):
-        bucket = buckets[j]
-        buckets[j] = []
-        if not bucket:
+        if (product := products.pop()) is None:
             continue
+        scope, belief = product
         if j in down:
-            bucket.append(down.pop(j))
-        scope, belief = _product(bucket, max_width)
+            belief += _aligned(down.pop(j), scope)
         # A bucket without children needs its product only for the marginal.
         weights = np.subtract(belief, belief.max(), out=None if children[j] else belief)
         np.exp(weights, out=weights)

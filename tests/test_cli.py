@@ -543,6 +543,17 @@ def test_a_non_finite_report_is_an_internal_error(mixed_model_file, capsys, monk
     assert "non-finite" in err
 
 
+def test_an_internal_error_names_its_type(mixed_model_file, capsys, monkeypatch):
+    # A MemoryError carries no message; the report must still say what it was.
+    path, _ = mixed_model_file
+
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr("propmrf.cli._cmd_count", exhausted)
+    assert run_cli(["count", path], capsys) == (7, "", "internal error: MemoryError\n")
+
+
 def test_ve_width_beyond_the_table_limit_exits_5(tmp_path, capsys):
     # Two 41-literal clauses: a VE table over them would hold 2^41 entries.
     m = PropMRF.from_lists(

@@ -13,6 +13,7 @@ from propmrf import (
     pick_evidence,
     ve_count,
 )
+from propmrf import ve
 from propmrf.ve import (
     _FLOOR,
     Factor,
@@ -157,6 +158,38 @@ def test_bucket_tree_matches_enumeration_with_infinite_entries():
         in_variable_order[np.array(order, dtype=int) - 1] = marginals
         assert np.all(np.abs(in_variable_order - expected) <= 1e-12)
     assert zero > 0
+
+
+def _nonempty_buckets(factors: list[Factor], order: list[int]) -> int:
+    """How many buckets of the order receive a factor or a message, found
+    from the scopes alone."""
+    position = {v: i for i, v in enumerate(order)}
+    buckets: list[list[set]] = [[] for _ in order]
+    for f in factors:
+        if f.scope:
+            buckets[min(position[v] for v in f.scope)].append(set(f.scope))
+    for i, v in enumerate(order):
+        rest = set().union(*buckets[i]) - {v}
+        if rest:
+            buckets[min(position[u] for u in rest)].append(rest)
+    return sum(1 for bucket in buckets if bucket)
+
+
+def test_bucket_tree_builds_each_product_once(monkeypatch):
+    calls = []
+    product = ve._product
+    monkeypatch.setattr(ve, "_product", lambda *args: calls.append(1) or product(*args))
+    rng = np.random.default_rng(8305)
+    checked = 0
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        factors = _random_factors(rng, n)
+        order = [int(v) for v in rng.permutation(n) + 1]
+        calls.clear()
+        _, marginals = bucket_tree(factors, order)
+        assert len(calls) == _nonempty_buckets(factors, order)
+        checked += marginals is not None and len(calls) > 0
+    assert checked > 30
 
 
 def _reference_message(belief: np.ndarray, scope: tuple, msg: Factor) -> np.ndarray:
