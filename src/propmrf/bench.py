@@ -212,11 +212,9 @@ def brute_force_marginals(m: PropMRF) -> np.ndarray:
     return np.clip(marginals / total, 0.0, 1.0)
 
 
-def sum_kld(
-    exact: np.ndarray, estimated: np.ndarray, eps: float = 1e-9
-) -> float:
+def sum_kld(exact: np.ndarray, estimated: np.ndarray) -> float:
     """Sum over variables of KL(exact_v || estimated_v) for the two-point
-    marginal distributions.  Estimated entries are clamped to [eps, 1 - eps];
+    marginal distributions.  Estimated entries are clamped to [1e-9, 1 - 1e-9];
     exact entries of 0 or 1 contribute through the surviving term only.
     Raises ValueError when an exact entry lies outside [0, 1] or an
     estimated one is NaN.
@@ -229,7 +227,7 @@ def sum_kld(
         raise ValueError("exact marginals must lie in [0, 1]")
     if np.any(np.isnan(q)):
         raise ValueError("estimated marginals must not be NaN")
-    q = np.clip(q, eps, 1.0 - eps)
+    q = np.clip(q, 1e-9, 1.0 - 1e-9)
     total = 0.0
     pos = p > 0.0
     total += float(np.sum(p[pos] * np.log(p[pos] / q[pos])))

@@ -16,7 +16,10 @@ when they lie beyond float range; the log-space fields beside them are
 authoritative.  A log-space field is null when its value is the log of zero;
 the linear field beside it then reads 0.  A report carries no NaN or
 Infinity: one that would is an internal error (exit 7), and --ve-width
-beyond ve.MAX_TABLE_WIDTH exits 5 before the model is read.
+beyond ve.MAX_TABLE_WIDTH exits 5 before the model is read.  A model that
+declares more than fdc.MAX_SEARCH_VARS (10^7) variables exits 5 from count,
+prob and exact marginals before the search starts; count --method ve has no
+such cap, and the samplers stop at fis.MAX_SAMPLING_VARS (100).
 
 Environment: PROPMRF_SEED and PROPMRF_JOBS provide defaults for --seed and
 --jobs.  --jobs J splits formula sampling into J independently seeded

@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Generator, TypeVar
+from typing import AbstractSet, Generator, TypeVar
 
 import numpy as np
 
@@ -60,12 +60,17 @@ import numpy as np
 # wraps it under this module's name.
 from .graph import connected_components, minfill_width  # noqa: F401
 from .model import BareClause, BareModel, PropMRF, literal_key
-from .simplify import SimplifyOutcome, simplify
+from .simplify import simplify
 from .ve import LN2, MAX_TABLE_WIDTH, bucket_elimination, bucket_tree, clauses_to_factors
 
 FORMULA = "formula"
 VARIABLE = "variable"
 _MODES = (FORMULA, VARIABLE)
+
+# The most variables a search accepts.  simplify and split_components do
+# work and allocate in proportion to num_vars, however few variables occur,
+# so a larger header is refused before they run.
+MAX_SEARCH_VARS = 10**7
 
 
 class InstanceTooLargeError(ValueError):
@@ -156,24 +161,21 @@ def choose_branch_clause(m: BareModel, mode: str = FORMULA) -> BranchCandidate:
     return BranchCandidate(frozenset((best_lit,)), lit_counts[best_lit], 1)
 
 
-def canonical_key(m: BareModel, with_weights: bool = True):
+def canonical_key(m: BareModel):
     """Hashable form of m that forgets the order of its clauses: num_vars,
     the sorted hard clauses and the sorted soft clauses, each clause the
-    tuple of its literals sorted by variable.  with_weights=False drops the
-    soft weights.
+    tuple of its literals sorted by variable, each soft one with its weight.
 
     No variable is renamed, so equal keys mean the same clauses over the
     same variables.  The search keys components compacted to 1..k in
     ascending order, so a submodel met again under any order-preserving
     renaming gets the same key, and its cached marginals are already in the
-    component's numbering.
+    component's numbering.  minimal_search_space zeroes every weight first,
+    so its keys equate models that differ only in their weights.
     """
     num_vars, hard, soft = m
     hard_keys = sorted([tuple(sorted(c, key=abs)) for c in hard])
-    if with_weights:
-        soft_keys = sorted([(tuple(sorted(c, key=abs)), w) for c, w in soft])
-    else:
-        soft_keys = sorted([tuple(sorted(c, key=abs)) for c, _ in soft])
+    soft_keys = sorted([(tuple(sorted(c, key=abs)), w) for c, w in soft])
     return (num_vars, tuple(hard_keys), tuple(soft_keys))
 
 
@@ -211,11 +213,13 @@ def _single_clause_marginals(m: BareModel, log_z: float) -> np.ndarray:
     return marginals
 
 
-def _lift(out: SimplifyOutcome, num_vars: int) -> np.ndarray:
-    """Marginals of the model simplify() was given, outside its components:
-    forced variables are certain and swept variables are fair coins."""
+def _lift(forced: AbstractSet[int], num_vars: int) -> np.ndarray:
+    """P(v = true) over num_vars variables: certain for the literals in
+    forced, a fair coin for every other variable.  These are simplify's
+    marginals outside its components, and all of them for a formula-sampler
+    leaf whose residual is empty."""
     marginals = np.full(num_vars, 0.5)
-    for lit in out.forced:
+    for lit in forced:
         marginals[abs(lit) - 1] = 1.0 if lit > 0 else 0.0
     return marginals
 
@@ -249,6 +253,10 @@ def _search(
     marginals are None when with_marginals is off or Z is zero, so counting
     alone does no marginal work.
     """
+    if m[0] > MAX_SEARCH_VARS:
+        raise InstanceTooLargeError(
+            f"the exact search supports at most {MAX_SEARCH_VARS} variables, got {m[0]}"
+        )
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
     stats = SearchStats()
@@ -315,7 +323,7 @@ def _search(
         log_z = out.log_weight + sum(part[0] for part in parts)
         if not with_marginals or log_z == -math.inf:
             return log_z, None
-        marginals = _lift(out, model[0])
+        marginals = _lift(out.forced, model[0])
         for component, (_, part) in zip(out.components, parts):
             marginals[np.array(component.variables) - 1] = part
         return log_z, marginals
@@ -392,7 +400,9 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
     conditioning/decomposition search space.  Only practical for tiny models.
     A candidate whose true branch plus the least a false branch can cost
     already reaches the best cost found so far skips its false branch.  Like
-    the search, it runs under _run.
+    the search, it runs under _run.  No step reads a soft weight, so every
+    weight is zeroed at entry, and the memo under canonical_key then shares
+    a cost between components that differ only in their weights.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown branching mode {mode!r}")
@@ -401,6 +411,7 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
             f"minimal_search_space supports at most 10 variables and 6 clauses, "
             f"got {m.num_vars} and {m.num_clauses}"
         )
+    weightless = (m.num_vars, m.hard, tuple((c, 0.0) for c, _ in m.soft))
     memo: dict = {}
 
     def best(model: BareModel) -> Generator[Generator, tuple[int, int], tuple[int, int]]:
@@ -410,7 +421,7 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
         leaves = nodes = 0
         for component in out.components:
             c = component.model
-            key = canonical_key(c, with_weights=False)
+            key = canonical_key(c)
             cost = memo.get(key)
             if cost is None:
                 if len(c[1]) + len(c[2]) == 1:
@@ -435,7 +446,7 @@ def minimal_search_space(m: PropMRF, mode: str = FORMULA) -> SearchStats:
         return (leaves, nodes)
 
     try:
-        leaves, nodes = _run(best(m))
+        leaves, nodes = _run(best(weightless))
     finally:
         best = None  # as in _search: free the memo without the cyclic collector
     return SearchStats(nodes=nodes, leaves=leaves)

@@ -29,8 +29,9 @@ built leaf with the Sample that leaf was finished with.  The enumeration
 expands a fresh tree whole.  The BP proposal is memoized for the run on the
 step and the forced literals of the step's clause, the only ones it reads.
 A leaf's state is also its counting model.  When its residual is empty,
-every variable is forced or free, and the log count (ln 2 per free variable)
-and marginals are written down with no search; otherwise one fdc_marginals
+every variable is forced or free: the log count is ln 2 per free variable,
+summed as simplify sums it, and the marginals are the search's own lift of
+forced literals (fdc._lift), with no search; otherwise one fdc_marginals
 search on the forced true literals as unit clauses plus the residual gives
 them.  The Sample keeps the exact marginals of its formula's solutions, so
 fis_marginals only averages them.  run_fis draws every sample in this
@@ -53,7 +54,7 @@ import numpy as np
 
 from .bench import _clause_sat_mask, _weighted_chunks
 from .bp import BpConfig, BpMarginals, formula_proposal, run_bp, variable_proposal
-from .fdc import FORMULA, InstanceTooLargeError, fdc_marginals
+from .fdc import FORMULA, InstanceTooLargeError, _lift, fdc_marginals
 from .fdc import fdc_count  # noqa: F401  perfbench/run.py wraps this name
 from .model import BareClause, Clause, PropMRF, literal_key
 from .sat import is_satisfiable, unit_propagate
@@ -243,20 +244,6 @@ literals that those values and the hard clauses force true) to P(true).  The
 values are the sampler's own list, valid only during the call."""
 
 
-def _solved_leaf(num_vars: int, true: set[int]) -> tuple[float, np.ndarray]:
-    """What fdc_marginals returns for a leaf whose residual is empty, without
-    the search: simplify's log count, LN2 added once per free variable, and
-    fdc._lift's marginals, 1 or 0 for a forced variable and 0.5 for a free
-    one."""
-    log_count = 0.0
-    for _ in range(num_vars - len(true)):
-        log_count += LN2
-    marginals = np.full(num_vars, 0.5)
-    literals = np.fromiter(true, dtype=np.int64, count=len(true))
-    marginals[np.abs(literals) - 1] = literals > 0
-    return log_count, marginals
-
-
 class _FormulaSampler:
     """Draws and enumerates formula assignments on a prefix tree.
 
@@ -277,11 +264,12 @@ class _FormulaSampler:
     free choice and keeping the values only from the first node it expands
     (see draw); the enumeration expands a fresh tree whole, with an explicit
     stack.  A leaf is solved once, right after the expansion that makes it a
-    leaf: with an empty residual every variable is forced or free, and the
-    result is written down (_solved_leaf); otherwise by one fdc_marginals
-    search started from its own state.  It keeps the finished Sample, with
-    the formula's log count and marginals, and drops the state, so a later
-    draw that reaches it returns that Sample, the one a fresh tree gives.
+    leaf: with an empty residual every variable is forced or free, so its
+    log count is ln 2 per free variable and its marginals are fdc._lift's,
+    as the search gives them; otherwise one fdc_marginals search started
+    from its own state solves it.  It keeps the finished Sample, with the
+    formula's log count and marginals, and drops the state, so a later draw
+    that reaches it returns that Sample, the one a fresh tree gives.
     """
 
     def __init__(self, m: PropMRF, soft_steps: Sequence[int], proposal: _NodeProposal):
@@ -331,7 +319,12 @@ class _FormulaSampler:
             exact = fdc_marginals(counting, mode=FORMULA)
             log_count, marginals = exact.log_z, exact.marginals
         else:
-            log_count, marginals = _solved_leaf(num_vars, true)
+            # What the search returns: simplify's ln 2 per free variable,
+            # summed in its order, and its lift of the forced literals.
+            log_count = 0.0
+            for _ in range(num_vars - len(true)):
+                log_count += LN2
+            marginals = _lift(true, num_vars)
         leaf.sample = Sample(
             h=FormulaAssignment(tuple(values)),
             qb=qb,
@@ -616,15 +609,15 @@ def enumerate_formula_assignments(
     m: PropMRF,
     proposal: Proposal | None = None,
     h_order: Sequence[int] | None = None,
-    bp_config: BpConfig = BpConfig(),
 ) -> list[Sample]:
     """Every reachable formula assignment with its exact draw probability.
 
     The returned qb values sum to 1 over the enumeration, so exact
     expectations of the estimator (mean, variance) can be computed without
-    sampling.  Intended for small models.
+    sampling.  The default proposal is BP's under BpConfig().  Intended for
+    small models.
     """
-    order, node_proposal, _ = _formula_sampling(m, h_order, proposal, bp_config)
+    order, node_proposal, _ = _formula_sampling(m, h_order, proposal, BpConfig())
     return _FormulaSampler(m, order, node_proposal).enumerate()
 
 
@@ -655,14 +648,14 @@ class UFormulaDistribution:
         return true_mass / total
 
 
-def u_from_q(
-    m: PropMRF, q: np.ndarray, h_order: Sequence[int] | None = None
-) -> UFormulaDistribution:
+def u_from_q(m: PropMRF, q: np.ndarray) -> UFormulaDistribution:
     """Push a per-variable proposal forward onto formula assignments by full
     enumeration, over bench's chunks of assignments: a code is kept when its
     log potential is finite, its mass is the product of its variables'
     probabilities in variable order, and the masses are summed in code
-    order.  Limited to small models."""
+    order.  A profile holds the soft clauses' truth values in declaration
+    order, the order of enumerate_formula_assignments' default steps.
+    Limited to small models."""
     num_vars, _, soft = m
     if num_vars > 14:
         raise InstanceTooLargeError(
@@ -673,7 +666,6 @@ def u_from_q(
         raise ValueError("q must hold one probability per variable")
     if not np.all((q >= 0.0) & (q <= 1.0)):
         raise ValueError("q entries must lie in [0, 1]")
-    order = _resolve_h_order(len(soft), h_order)
     masses: dict[tuple[bool, ...], float] = {}
     kappa = 0.0
     for codes, log_w in _weighted_chunks(m):
@@ -682,9 +674,9 @@ def u_from_q(
         for v in range(num_vars):
             bit = (codes >> np.uint64(v)) & np.uint64(1)
             code_mass *= np.where(bit == 1, q[v], 1.0 - q[v])
-        profiles = np.empty((codes.size, len(order)), dtype=bool)
-        for step, j in enumerate(order):
-            profiles[:, step] = _clause_sat_mask(codes, soft[j].clause)
+        profiles = np.empty((codes.size, len(soft)), dtype=bool)
+        for j, (clause, _) in enumerate(soft):
+            profiles[:, j] = _clause_sat_mask(codes, clause)
         for profile, mass in zip(map(tuple, profiles.tolist()), code_mass.tolist()):
             masses[profile] = masses.get(profile, 0.0) + mass
             kappa += mass

@@ -51,19 +51,12 @@ def primal_adjacency(m: BareModel) -> dict[int, set[int]]:
 
 
 def connected_components(m: BareModel) -> list[Component]:
-    """Split m along its primal graph; components are ordered by smallest variable.
-
-    Each component model is renumbered to 1..k over its own variables in
-    ascending order, so the partition function of m (when every declared
-    variable occurs in a clause) is the product of the component partition
-    functions.  A model that is a single component over all its variables is
-    returned as it is.
-    """
-    num_vars, hard, soft = m
-    components = split_components(num_vars, hard, soft)
-    if len(components) == 1 and len(components[0].variables) == num_vars:
-        return [Component(components[0].variables, m)]
-    return components
+    """Split m along its primal graph; components are ordered by smallest
+    variable, each renumbered to 1..k over its own variables in ascending
+    order (split_components on m's clauses).  When every declared variable
+    occurs in a clause, the partition function of m is the product of the
+    component partition functions."""
+    return split_components(*m)
 
 
 def split_components(

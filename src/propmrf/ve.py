@@ -116,10 +116,10 @@ def _aligned(factor: Factor, scope: Sequence[int]) -> np.ndarray:
 
 
 def _product(factors: Sequence[Factor], max_width: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The union of the factors' scopes and their product (log sum) over it,
-    in a new table."""
+    """The union of the factors' scopes and their product (log sum) over it:
+    a lone factor's own table, else a new one."""
     if len(factors) == 1:
-        return factors[0].scope, factors[0].table.copy()
+        return factors[0].scope, factors[0].table
     scope = tuple(sorted({v for f in factors for v in f.scope}))
     _check_width(len(scope), max_width)
     table = np.zeros((2,) * len(scope))
@@ -186,7 +186,10 @@ def _eliminate(
 ) -> tuple[float, list[tuple[tuple[int, ...], np.ndarray] | None], list[Factor | None]]:
     """The upward pass: log Z, each bucket's product (scope, table) if keep
     (else None: freed once summed out), and the message each bucket sent
-    (None when the bucket was empty or its message was a scalar)."""
+    (None when the bucket was empty or its message was a scalar).  A kept
+    product is a table of its own: bucket_tree adds into it in place, and a
+    lone factor's table may be a clause's factor or a message still read
+    as sent."""
     position = {v: i for i, v in enumerate(order)}
     for f in factors:
         for v in f.scope:
@@ -209,7 +212,8 @@ def _eliminate(
             constant += LN2
             continue
         scope, table = _product(bucket, max_width)
-        products[i] = (scope, table) if keep else None
+        if keep:
+            products[i] = (scope, table.copy() if len(bucket) == 1 else table)
         a = scope.index(v)
         summed = Factor(scope[:a] + scope[a + 1 :], np.logaddexp(*_halves(table, a)))
         if not summed.scope:

@@ -421,6 +421,35 @@ def test_resource_limits_exit_5(tmp_path, capsys):
     assert code == 5
 
 
+def test_a_header_beyond_the_search_cap_exits_5_before_the_search(
+    tmp_path, capsys, monkeypatch
+):
+    # 10^9 declared variables, three of them occurring: the search's split
+    # would allocate a list of num_vars + 1 entries, so it must not start.
+    path = tmp_path / "huge.pmrf"
+    path.write_text("p pmrf 1000000000\nh 1 2 0\ns 0.5 -1 3 0\n")
+    query = tmp_path / "query.txt"
+    query.write_text("1 0\n")
+
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr("propmrf.simplify.split_components", refuse)
+    for argv in (
+        ["count", str(path)],
+        ["prob", str(path), str(query)],
+        ["marginals", str(path)],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (5, ""), argv
+        assert "at most 10000000 variables" in err
+    # Bucket elimination adds the free variables as one product.
+    report = run_json(["count", str(path), "--method", "ve"], capsys)
+    assert report["result"]["log_z"] == pytest.approx(
+        math.log(2 + 4 * math.exp(0.5)) + (10**9 - 3) * math.log(2.0), rel=1e-12
+    )
+
+
 def test_unsat_sampling_exits_6(tmp_path, capsys):
     m = PropMRF.from_lists(2, hard=[[1], [-1]], soft=[(0.4, [2])])
     path = tmp_path / "unsat.pmrf"

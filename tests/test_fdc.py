@@ -203,9 +203,6 @@ def test_canonical_key_identifies_renamed_models():
     assert canonical_key(component.model) == canonical_key(a)
     c = PropMRF.from_lists(4, hard=[[1, 2]], soft=[(0.6, [2, 3]), (0.1, [3, -4])])
     assert canonical_key(a) != canonical_key(c)
-    assert canonical_key(a, with_weights=False) == canonical_key(
-        c, with_weights=False
-    )
 
 
 def test_calibration_search_space_sizes():
@@ -248,7 +245,13 @@ def _minimal_search_space_without_bound(m, mode):
         leaves = nodes = 0
         for component in out.components:
             c = component.model
-            key = canonical_key(c, with_weights=False)
+            # canonical_key without the weights, as the minimizer once keyed.
+            num_vars, hard, soft = c
+            key = (
+                num_vars,
+                tuple(sorted(tuple(sorted(h, key=abs)) for h in hard)),
+                tuple(sorted(tuple(sorted(s, key=abs)) for s, _ in soft)),
+            )
             if key not in memo:
                 if len(c[1]) + len(c[2]) == 1:
                     memo[key] = (1, 0)
@@ -278,6 +281,19 @@ def test_local_bound_keeps_the_minimum(mode):
         assert (stats.leaves, stats.nodes) == expected
         branched += stats.nodes > 0
     assert branched > 30
+
+
+@pytest.mark.parametrize("mode", [FORMULA, VARIABLE])
+def test_minimal_search_space_ignores_weights(mode):
+    rng = np.random.default_rng(8407)
+    branched = 0
+    for _ in range(60):
+        m = random_mixed_model(rng, max_vars=6, max_hard=2, max_soft=4)
+        redrawn = PropMRF(m.num_vars, m.hard, [(c, rng.normal(scale=3.0)) for c, _ in m.soft])
+        stats = minimal_search_space(m, mode)
+        assert minimal_search_space(redrawn, mode) == stats
+        branched += stats.nodes > 0
+    assert branched > 10
 
 
 def test_formula_minimum_never_exceeds_variable_minimum():

@@ -723,4 +723,9 @@ def test_empty_residual_leaves_match_the_search(monkeypatch):
         PropMRF(30),
     ):
         enumerate_formula_assignments(m)
+    # Drawn leaves of the size the fis_qmr benchmark samples.
+    enumerated = len(free_shares)
+    for seed in (8633, 8634, 8635):
+        run_fis(gen_qmr(15, 15, 7, seed=seed), 400, seed=seed)
+    assert len(free_shares) - enumerated > 1000
     assert min(free_shares) == 0.0 and max(free_shares) == 1.0

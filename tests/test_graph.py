@@ -63,11 +63,13 @@ def test_single_component_renumbering_and_fast_path():
     (component,) = connected_components(PropMRF.from_lists(3, hard=[[1, 3]]))
     assert component.variables == (1, 3)
     assert component.model == PropMRF.from_lists(2, hard=[[1, 2]])
-    # An already compact single component comes back as it is.
+    # An already compact single component keeps its clauses as they are.
     m = PropMRF.from_lists(3, hard=[[1, -3]], soft=[(0.5, [2, 3])])
     (component,) = connected_components(m)
     assert component.variables == (1, 2, 3)
-    assert component.model is m
+    assert component.model == m
+    _, hard, soft = component.model
+    assert all(a is b for a, b in zip(hard + soft, m.hard + m.soft, strict=True))
 
 
 def test_component_partition_functions_multiply():
