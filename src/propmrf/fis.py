@@ -1,12 +1,14 @@
 """Importance sampling over formula assignments and over variable assignments.
 
 The formula sampler draws truth values for the soft clauses one at a time.
-Before each step both extensions are tested for satisfiability against the
-hard clauses plus the constraints implied by earlier steps; when only one
-extension is satisfiable it is taken with probability one.  One of the two
-always is, so no drawn prefix is ever abandoned.  A completed draw fixes
-every soft clause, the solutions of the resulting hard formula are counted
-exactly, and the sample's estimate is
+A clause that the literals forced by the hard clauses and the earlier steps
+already satisfy is taken true with no check.  Before any other step both
+extensions are tested for satisfiability against the hard clauses plus the
+constraints implied by earlier steps; when only one extension is
+satisfiable it is taken with probability one.  One of the two always is, so
+no drawn prefix is ever abandoned.  A completed draw fixes every soft
+clause, the solutions of the resulting hard formula are counted exactly,
+and the sample's estimate is
 
     count * exp(sum of satisfied soft weights) / qb
 
@@ -250,24 +252,27 @@ class _FormulaSampler:
     A node is a prefix of step values.  Until it is expanded it holds the
     prefix propagated: the literals forced true, and the residual clauses,
     those not yet satisfied with the negations of forced literals removed.
-    Expanding a node checks both values of each next step by _extend, which
-    reduces the step's extension against the forced literals, propagates it
-    together with the residual alone, and runs the DPLL only on a non-empty
-    residual that propagation leaves; the next states come out of those
-    checks.  While one value is satisfiable the step is forced: its value
-    joins the node's run and the walk goes on from its state.  At the first
-    step where both are, the proposal reads the forced true literals (the BP
-    proposal answers a repeated question from its memo, see _BpProposal),
-    and the node keeps that probability and its two children and drops its
-    state.  So an edge of the tree is one free choice followed by the run of
-    forced steps behind it.  A draw walks the tree, taking one uniform per
-    free choice and keeping the values only from the first node it expands
-    (see draw); the enumeration expands a fresh tree whole, with an explicit
-    stack.  A leaf is solved once, right after the expansion that makes it a
-    leaf: with an empty residual every variable is forced or free, so its
-    log count is ln 2 per free variable and its marginals are fdc._lift's,
-    as the search gives them; otherwise one fdc_marginals search started
-    from its own state solves it.  It keeps the finished Sample, with the
+    Expanding a node takes a step whose clause shares a literal with the
+    forced ones true, with no check and the same state: the true extension
+    adds nothing, and the false one falsifies a forced literal.  It checks
+    both values of any other step by _extend, which reduces the step's
+    extension against the forced literals, propagates it together with the
+    residual alone, and runs the DPLL only on a non-empty residual that
+    propagation leaves; the next states come out of those checks.  While one
+    value is satisfiable the step is forced: its value joins the node's run
+    and the walk goes on from its state.  At the first step where both are,
+    the proposal reads the forced true literals (the BP proposal answers a
+    repeated question from its memo, see _BpProposal), and the node keeps
+    that probability and its two children and drops its state.  So an edge
+    of the tree is one free choice followed by the run of forced steps
+    behind it.  A draw walks the tree, taking one uniform per free choice
+    and keeping the values only from the first node it expands (see draw);
+    the enumeration expands a fresh tree whole, with an explicit stack.  A
+    leaf is solved once, right after the expansion that makes it a leaf:
+    with an empty residual every variable is forced or free, so its log
+    count is ln 2 per free variable and its marginals are fdc._lift's, as
+    the search gives them; otherwise one fdc_marginals search started from
+    its own state solves it.  It keeps the finished Sample, with the
     formula's log count and marginals, and drops the state, so a later draw
     that reaches it returns that Sample, the one a fresh tree gives.
     """
@@ -285,13 +290,18 @@ class _FormulaSampler:
         """Walk the steps after node's prefix, which values holds, appending
         each forced value to values and to node.run; then branch at the
         first step where both values are satisfiable, by the proposal, or
-        make node a leaf after the last step.  At least one value is always
-        satisfiable: each model of a satisfiable prefix either satisfies the
-        step's clause or falsifies all of its literals."""
+        make node a leaf after the last step.  A step whose clause holds a
+        forced literal is true with no _extend call, as both calls would
+        find.  At least one value is always satisfiable: each model of a
+        satisfiable prefix either satisfies the step's clause or falsifies
+        all of its literals."""
         state = node.state
         start = len(values)
         for pos in range(start, len(self._extensions)):
             if_false, if_true = self._extensions[pos]
+            if not state[0].isdisjoint(if_true[0]):
+                values.append(True)
+                continue
             on_true, on_false = _extend(state, if_true), _extend(state, if_false)
             if on_true is not None and on_false is not None:
                 p = float(self.proposal(pos, values, state[0]))
@@ -515,7 +525,10 @@ def run_fis(
         raise ValueError("jobs must be positive")
     order, node_proposal, marginals = _formula_sampling(m, h_order, proposal, bp_config)
 
-    seeds = [seed] if jobs == 1 else np.random.SeedSequence(seed).spawn(jobs)
+    # Streams after the first n_samples draw nothing, and spawn's first
+    # children do not depend on how many are spawned, so those are not made.
+    streams = min(jobs, n_samples)
+    seeds = [seed] if jobs == 1 else np.random.SeedSequence(seed).spawn(streams)
     sampler = _FormulaSampler(m, order, node_proposal)
     samples: list[Sample] = []
     for k, stream_seed in enumerate(seeds):

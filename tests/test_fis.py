@@ -34,13 +34,16 @@ from propmrf.fdc import FORMULA, fdc_marginals
 from propmrf.fis import (
     _BpProposal,
     _FormulaSampler,
+    _extend,
     _formula_sampling,
+    _step_extensions,
     _uniforms,
     estimate_from_log_weights,
     vis_log_weights,
 )
+from propmrf.sat import is_satisfiable, unit_propagate
 
-from conftest import random_mixed_model
+from conftest import random_clause, random_mixed_model
 
 
 def sampling_model(rng, max_vars=7, max_soft=5, with_hard=True):
@@ -222,6 +225,28 @@ def test_custom_proposal_accepted_with_multiple_jobs():
     assert a.bp is None and len(a.samples) == 40
     assert [_sample_fields(s) for s in a.samples] == [_sample_fields(s) for s in b.samples]
     assert a.estimate.log_z_hat.hex() == b.estimate.log_z_hat.hex()
+
+
+def test_streams_that_draw_nothing_are_not_spawned(monkeypatch):
+    # Only the first n_samples streams draw, and spawn's first children do
+    # not depend on how many are spawned: jobs=1000 spawns 5 streams for 5
+    # draws and draws what jobs=5 draws.
+    asked = []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n_children):
+            asked.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    m = _golden_model()
+    wide = run_fis(m, 5, seed=9, jobs=1000)
+    assert asked == [5]
+    narrow = run_fis(m, 5, seed=9, jobs=5)
+    assert [_sample_fields(s) for s in wide.samples] == [
+        _sample_fields(s) for s in narrow.samples
+    ]
+    assert wide.estimate.log_z_hat.hex() == narrow.estimate.log_z_hat.hex()
 
 
 def test_h_order_must_be_a_permutation():
@@ -449,6 +474,49 @@ def test_forced_steps_skip_the_proposal(monkeypatch, hard, soft):
     assert calls == []
     assert {s.h.values for s in result.samples} == {(True, True)}
     assert all(s.qb == 1.0 for s in result.samples)
+
+
+def test_entailed_steps_call_no_extend(monkeypatch):
+    # The hard unit forces 1, so steps 0 and 1 are true with no check; only
+    # step 2 tests its two extensions, once, on the one tree each run builds.
+    m = PropMRF.from_lists(3, hard=[[1]], soft=[(0.5, [1, 2]), (0.3, [1, -3]), (0.2, [2, 3])])
+    calls = []
+
+    def counting(state, extension):
+        calls.append(extension)
+        return _extend(state, extension)
+
+    monkeypatch.setattr("propmrf.fis._extend", counting)
+    expected = {(True, True, True), (True, True, False)}
+    assert {s.h.values for s in run_fis(m, 20, seed=0).samples} == expected
+    assert len(calls) == 2
+    assert {s.h.values for s in enumerate_formula_assignments(m)} == expected
+    assert len(calls) == 4
+
+
+def test_an_entailed_clause_extends_to_the_same_state():
+    # What the sampler's shortcut rests on: when a step's clause holds a
+    # forced literal, its true extension returns the state itself, and its
+    # false one, the negated literals in literal_key order, is refuted.
+    rng = np.random.default_rng(8640)
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        hard = [random_clause(rng, n) for _ in range(int(rng.integers(1, 9)))]
+        propagated = unit_propagate(hard)
+        if propagated is None or not is_satisfiable(propagated[2]):
+            continue
+        true, _, residual = propagated
+        state = (true, residual)
+        soft = [(0.5, random_clause(rng, n, 4)) for _ in range(6)]
+        m = PropMRF.from_lists(n, soft=soft)
+        for if_false, if_true in _step_extensions(m, range(len(soft))):
+            if true.isdisjoint(if_true[0]):
+                continue
+            assert _extend(state, if_true) is state
+            assert _extend(state, if_false) is None
+            checked += 1
+    assert checked > 100
 
 
 def test_enumeration_of_a_long_forced_chain():
